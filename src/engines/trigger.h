@@ -50,7 +50,9 @@ inline core::JoinElement ParseJoinElement(const uint8_t* payload) {
 }
 
 /// Emits every bucket of `partition` triggerable at watermark `wm` and
-/// tombstones it. `last_trigger_wm` suppresses redundant scans. All CPU
+/// tombstones it. `last_trigger_wm` suppresses redundant scans, and so does
+/// the partition's live-bucket floor: when no live entry is at or below the
+/// threshold, the scans would visit nothing and charge nothing. All CPU
 /// costs are charged to `cpu`.
 inline void TriggerWindows(const core::QuerySpec& query, int64_t wm,
                            state::Partition* partition,
@@ -62,6 +64,7 @@ inline void TriggerWindows(const core::QuerySpec& query, int64_t wm,
   *last_trigger_wm = wm;
   const int64_t threshold = TriggerableBucket(query.window, wm);
   if (threshold == std::numeric_limits<int64_t>::min()) return;
+  if (partition->live_bucket_floor() > threshold) return;
 
   if (query.window.type == core::WindowSpec::Type::kSliding) {
     // Sliding windows: collect the populated slice aggregates and emit

@@ -20,7 +20,7 @@ Fabric::Fabric(sim::Simulator* sim, const FabricConfig& config)
   node_speed_.assign(config.nodes, 1.0);
   qp_per_node_.assign(config.nodes, 0);
   for (int n = 0; n < config.nodes; ++n) {
-    pds_.push_back(std::make_unique<ProtectionDomain>(n));
+    pds_.push_back(std::make_unique<ProtectionDomain>(n, &next_key_));
     nics_.push_back(std::make_unique<Nic>(n, config.nic));
   }
   if (obs::MetricsRegistry* registry = sim_->metrics()) {

@@ -287,6 +287,9 @@ class Fabric : public sim::FaultTarget {
 
   sim::Simulator* sim_;
   FabricConfig config_;
+  // Memory keys are allocated per fabric, so a run's keys do not depend
+  // on what else the process built before it.
+  uint32_t next_key_ = 1;
   std::vector<std::unique_ptr<ProtectionDomain>> pds_;
   std::vector<std::unique_ptr<Nic>> nics_;
   std::vector<std::unique_ptr<QpEndpoint>> endpoints_;

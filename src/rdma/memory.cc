@@ -6,8 +6,6 @@
 
 namespace slash::rdma {
 
-uint32_t ProtectionDomain::next_key_ = 1;
-
 MemoryRegion::MemoryRegion(int node, uint32_t lkey, uint32_t rkey,
                            uint64_t size)
     : node_(node),
@@ -48,18 +46,17 @@ void BufferPool::Put(std::vector<uint8_t>&& buffer) {
 
 MemoryRegion* ProtectionDomain::RegisterRegion(uint64_t size) {
   SLASH_CHECK_GT(size, 0u);
-  const uint32_t lkey = next_key_++;
-  const uint32_t rkey = next_key_++;
+  const uint32_t lkey = (*next_key_)++;
+  const uint32_t rkey = (*next_key_)++;
   regions_.push_back(std::make_unique<MemoryRegion>(node_, lkey, rkey, size));
+  by_rkey_.emplace(rkey, regions_.back().get());
   registered_bytes_ += size;
   return regions_.back().get();
 }
 
 MemoryRegion* ProtectionDomain::FindByRkey(uint32_t rkey) const {
-  for (const auto& r : regions_) {
-    if (r->remote_key().rkey == rkey) return r.get();
-  }
-  return nullptr;
+  const auto it = by_rkey_.find(rkey);
+  return it == by_rkey_.end() ? nullptr : it->second;
 }
 
 }  // namespace slash::rdma

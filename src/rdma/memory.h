@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -129,7 +130,11 @@ class BufferPool {
 /// A protection domain: owns the registered regions of one node.
 class ProtectionDomain {
  public:
-  explicit ProtectionDomain(int node) : node_(node) {}
+  /// `next_key` is the fabric-wide key counter shared by every domain of
+  /// one fabric (keys stay unique across its nodes); it must outlive the
+  /// domain.
+  ProtectionDomain(int node, uint32_t* next_key)
+      : node_(node), next_key_(next_key) {}
   ProtectionDomain(const ProtectionDomain&) = delete;
   ProtectionDomain& operator=(const ProtectionDomain&) = delete;
 
@@ -139,7 +144,7 @@ class ProtectionDomain {
   MemoryRegion* RegisterRegion(uint64_t size);
 
   /// Looks up a region by remote key; nullptr if unknown. Used by the
-  /// fabric to resolve one-sided accesses.
+  /// fabric to resolve every one-sided access, so it is a hash lookup.
   MemoryRegion* FindByRkey(uint32_t rkey) const;
 
   /// Total registered bytes on this node.
@@ -147,9 +152,10 @@ class ProtectionDomain {
 
  private:
   int node_;
+  uint32_t* next_key_;
   std::vector<std::unique_ptr<MemoryRegion>> regions_;
+  std::unordered_map<uint32_t, MemoryRegion*> by_rkey_;
   uint64_t registered_bytes_ = 0;
-  static uint32_t next_key_;
 };
 
 }  // namespace slash::rdma

@@ -1,33 +1,53 @@
 #include "state/hash_index.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/logging.h"
 
 namespace slash::state {
 
-HashIndex::HashIndex(size_t bucket_count) : buckets_(bucket_count) {
+HashIndex::HashIndex(size_t bucket_count)
+    : buckets_(bucket_count),
+      dirty_((bucket_count + 63) / 64, 0),
+      segments_(std::make_unique_for_overwrite<Bucket*[]>(kMaxSegments)) {
   SLASH_CHECK_MSG(bucket_count != 0 && (bucket_count & (bucket_count - 1)) == 0,
                   "bucket count must be a power of two");
-  segments_ = std::make_unique<std::atomic<Bucket*>[]>(kMaxSegments);
-  for (size_t i = 0; i < kMaxSegments; ++i) {
-    segments_[i].store(nullptr, std::memory_order_relaxed);
-  }
-  Clear();
 }
 
 HashIndex::~HashIndex() {
-  for (size_t i = 0; i < kMaxSegments; ++i) {
-    delete[] segments_[i].load(std::memory_order_relaxed);
-  }
+  for (size_t i = 0; i < segments_allocated_; ++i) delete[] segments_[i];
 }
 
 void HashIndex::Clear() {
-  for (auto& bucket : buckets_) {
-    for (auto& e : bucket.entries) e.store(kEmptySlot, std::memory_order_relaxed);
-    bucket.overflow.store(0, std::memory_order_relaxed);
+  for (size_t w = 0; w < dirty_.size(); ++w) {
+    for (uint64_t bits = dirty_[w]; bits != 0; bits &= bits - 1) {
+      Bucket& bucket = buckets_[w * 64 + size_t(std::countr_zero(bits))];
+      for (auto& e : bucket.entries) {
+        e.store(kEmptySlot, std::memory_order_relaxed);
+      }
+      bucket.overflow.store(0, std::memory_order_relaxed);
+    }
+    dirty_[w] = 0;
   }
   overflow_used_.store(0, std::memory_order_relaxed);
+}
+
+HashIndex::Bucket* HashIndex::ExtendChainLocked(Bucket* tail) {
+  const size_t idx = overflow_used_.load(std::memory_order_relaxed);
+  const size_t segment = idx / kSegmentSize;
+  SLASH_CHECK_MSG(segment < kMaxSegments,
+                  "hash index overflow pool exhausted");
+  if (segment == segments_allocated_) {
+    segments_[segment] = new Bucket[kSegmentSize];
+    ++segments_allocated_;
+  }
+  Bucket& fresh = OverflowAt(idx);
+  for (auto& e : fresh.entries) e.store(kEmptySlot, std::memory_order_relaxed);
+  fresh.overflow.store(0, std::memory_order_relaxed);
+  overflow_used_.store(idx + 1, std::memory_order_relaxed);
+  tail->overflow.store(idx + 1, std::memory_order_release);
+  return &fresh;
 }
 
 std::atomic<uint64_t>* HashIndex::FindSlot(Bucket* bucket, uint16_t tag,
@@ -49,27 +69,10 @@ std::atomic<uint64_t>* HashIndex::FindSlot(Bucket* bucket, uint16_t tag,
     // Rare path: extend the overflow chain under a spinlock.
     while (overflow_lock_.test_and_set(std::memory_order_acquire)) {
     }
-    uint64_t ov2 = b->overflow.load(std::memory_order_acquire);
-    if (ov2 == 0) {
-      const size_t idx = overflow_used_.load(std::memory_order_relaxed);
-      const size_t segment = idx / kSegmentSize;
-      SLASH_CHECK_MSG(segment < kMaxSegments,
-                      "hash index overflow pool exhausted");
-      if (segments_[segment].load(std::memory_order_acquire) == nullptr) {
-        segments_[segment].store(new Bucket[kSegmentSize],
-                                 std::memory_order_release);
-      }
-      Bucket& fresh = OverflowAt(idx);
-      for (auto& e : fresh.entries) {
-        e.store(kEmptySlot, std::memory_order_relaxed);
-      }
-      fresh.overflow.store(0, std::memory_order_relaxed);
-      overflow_used_.store(idx + 1, std::memory_order_relaxed);
-      b->overflow.store(idx + 1, std::memory_order_release);
-      ov2 = idx + 1;
-    }
+    const uint64_t ov2 = b->overflow.load(std::memory_order_acquire);
+    Bucket* next = ov2 == 0 ? ExtendChainLocked(b) : &OverflowAt(ov2 - 1);
     overflow_lock_.clear(std::memory_order_release);
-    b = &OverflowAt(ov2 - 1);
+    b = next;
   }
 }
 
@@ -89,22 +92,7 @@ std::atomic<uint64_t>* HashIndex::FindSlotLocked(Bucket* bucket,
     }
     if (empty != nullptr) return empty;
     // Extend the overflow chain; the caller already holds overflow_lock_.
-    const size_t idx = overflow_used_.load(std::memory_order_relaxed);
-    const size_t segment = idx / kSegmentSize;
-    SLASH_CHECK_MSG(segment < kMaxSegments,
-                    "hash index overflow pool exhausted");
-    if (segments_[segment].load(std::memory_order_acquire) == nullptr) {
-      segments_[segment].store(new Bucket[kSegmentSize],
-                               std::memory_order_release);
-    }
-    Bucket& fresh = OverflowAt(idx);
-    for (auto& e : fresh.entries) {
-      e.store(kEmptySlot, std::memory_order_relaxed);
-    }
-    fresh.overflow.store(0, std::memory_order_relaxed);
-    overflow_used_.store(idx + 1, std::memory_order_relaxed);
-    b->overflow.store(idx + 1, std::memory_order_release);
-    b = &OverflowAt(idx);
+    b = ExtendChainLocked(b);
   }
 }
 
@@ -181,6 +169,8 @@ bool HashIndex::CompareExchangeHead(KeyHash h, uint64_t expected,
           return false;
         }
         locked_slot->store(Pack(h.tag, desired), std::memory_order_release);
+        const size_t home = h.bucket_hash & (buckets_.size() - 1);
+        dirty_[home / 64] |= 1ULL << (home % 64);
         overflow_lock_.clear(std::memory_order_release);
         *observed = desired;
         return true;

@@ -62,7 +62,9 @@ class HashIndex {
   /// Number of occupied entry slots (linearizes only when quiescent).
   size_t size() const;
 
-  /// Removes all entries. Requires external quiescence.
+  /// Removes all entries. Resets only the home buckets claimed since the
+  /// last Clear(), so its cost follows the keys inserted, not the bucket
+  /// count. Requires external quiescence.
   void Clear();
 
   size_t bucket_count() const { return buckets_.size(); }
@@ -101,20 +103,32 @@ class HashIndex {
   // holding `tag`, an empty slot, or extends the chain in place. Never
   // returns nullptr except transiently impossible states.
   std::atomic<uint64_t>* FindSlotLocked(Bucket* bucket, uint16_t tag);
+  // Links a fresh, empty overflow bucket behind `tail` and returns it.
+  // The caller holds overflow_lock_.
+  Bucket* ExtendChainLocked(Bucket* tail);
 
   // Overflow buckets live in fixed-size segments allocated on demand:
   // bucket addresses stay stable forever, so readers can follow overflow
-  // links without synchronizing with pool growth.
+  // links without synchronizing with pool growth. A segment pointer is
+  // written once, under overflow_lock_, before the release-store of the
+  // first link into it, so readers that acquired a link may read it
+  // plainly. Only the first `segments_allocated_` pointers are ever
+  // written; the rest of the table stays uninitialized.
   static constexpr size_t kSegmentSize = 1024;
   static constexpr size_t kMaxSegments = 1 << 16;
 
   Bucket& OverflowAt(size_t i) const {
-    return segments_[i / kSegmentSize].load(
-        std::memory_order_acquire)[i % kSegmentSize];
+    return segments_[i / kSegmentSize][i % kSegmentSize];
   }
 
   mutable std::vector<Bucket> buckets_;
-  std::unique_ptr<std::atomic<Bucket*>[]> segments_;
+  // One bit per home bucket that ever had a slot claimed since the last
+  // Clear(). Set under overflow_lock_ by every fresh claim; a home bucket
+  // only gains an overflow link once all its slots are claimed, so every
+  // bucket Clear() must reset is marked.
+  std::vector<uint64_t> dirty_;
+  std::unique_ptr<Bucket*[]> segments_;
+  size_t segments_allocated_ = 0;  // guarded by overflow_lock_
   std::atomic<size_t> overflow_used_{0};
   std::atomic_flag overflow_lock_ = ATOMIC_FLAG_INIT;
 };

@@ -16,12 +16,12 @@ uint64_t AlignUp32(uint64_t v) { return (v + 31) & ~31ULL; }
 }  // namespace
 
 LogStructuredStore::LogStructuredStore(uint64_t initial_capacity)
-    : data_(new uint8_t[initial_capacity]), capacity_(initial_capacity) {
+    : data_(std::make_unique_for_overwrite<uint8_t[]>(initial_capacity)),
+      capacity_(initial_capacity) {
   SLASH_CHECK_MSG(IsPowerOfTwo(initial_capacity),
                   "LSS capacity must be a power of two, got "
                       << initial_capacity);
   SLASH_CHECK_GE(initial_capacity, 2 * sizeof(EntryHeader));
-  std::memset(data_.get(), 0, capacity_);
 }
 
 uint8_t* LogStructuredStore::At(uint64_t addr) {
@@ -81,8 +81,7 @@ uint64_t LogStructuredStore::Allocate(uint32_t size) {
 void LogStructuredStore::Grow(uint64_t needed_capacity) {
   uint64_t new_capacity = capacity_;
   while (new_capacity < needed_capacity) new_capacity *= 2;
-  auto new_data = std::make_unique<uint8_t[]>(new_capacity);
-  std::memset(new_data.get(), 0, new_capacity);
+  auto new_data = std::make_unique_for_overwrite<uint8_t[]>(new_capacity);
   // Re-place every live byte at its logical address modulo the new capacity.
   for (uint64_t addr = head_; addr < tail_;) {
     const uint64_t old_lap_end = addr - Physical(addr) + capacity_;

@@ -21,6 +21,11 @@
 // Entries never straddle the physical wrap point: Allocate inserts a filler
 // entry and skips to the next lap when needed, so every entry is physically
 // contiguous and scans can walk headers sequentially.
+//
+// Log bytes outside written entries are never read: scans step from one
+// written header to the next and readers copy only `value_len` bytes. So
+// the buffer is allocated without zeroing, and pages are first touched by
+// the appends that fill them.
 #ifndef SLASH_STATE_LOG_STORE_H_
 #define SLASH_STATE_LOG_STORE_H_
 

@@ -99,6 +99,7 @@ uint64_t Partition::InsertEntry(StateKey k, uint16_t stream_id,
     header->prev = head;
     if (index_.CompareExchangeHead(h, head, addr, &head)) {
       entry_count_.fetch_add(1, std::memory_order_relaxed);
+      AtomicMinI64(&live_floor_, k.bucket);
       *inserted = true;
       return addr;
     }
@@ -241,7 +242,7 @@ void Partition::CollectAppends(StateKey k, AppendSet* out) const {
 
 void Partition::ForEachLive(
     const std::function<void(const EntryHeader&, const uint8_t*)>& fn) const {
-  lss_.ForEachEntry(lss_.head(), lss_.tail(),
+  lss_.ForEachEntry(live_from_, lss_.tail(),
                     [this, &fn](uint64_t addr, const EntryHeader& header) {
                       if (header.flags & kEntryTombstone) return;
                       fn(header, lss_.At(addr) + sizeof(EntryHeader));
@@ -249,17 +250,24 @@ void Partition::ForEachLive(
 }
 
 size_t Partition::TombstoneBucketsUpTo(int64_t bucket) {
+  const uint64_t end = lss_.tail();
+  uint64_t first_live = end;
+  int64_t floor = kNoLiveBucket;
   size_t count = 0;
-  lss_.ForEachEntry(lss_.head(), lss_.tail(),
-                    [this, bucket, &count](uint64_t addr,
-                                           const EntryHeader& header) {
+  lss_.ForEachEntry(live_from_, end,
+                    [&](uint64_t addr, const EntryHeader& header) {
                       if (header.flags & kEntryTombstone) return;
-                      if (header.bucket > bucket) return;
-                      auto* h = const_cast<LogStructuredStore&>(lss_)
-                                    .HeaderAt(addr);
-                      h->flags |= kEntryTombstone;
+                      if (header.bucket > bucket) {
+                        first_live = std::min(first_live, addr);
+                        floor = std::min(floor, header.bucket);
+                        return;
+                      }
+                      lss_.HeaderAt(addr)->flags |= kEntryTombstone;
                       ++count;
                     });
+  // The scan saw every live entry, so the survivors give both bounds.
+  live_from_ = first_live;
+  live_floor_ = floor;
   entry_count_.fetch_sub(count, std::memory_order_relaxed);
   return count;
 }
@@ -331,6 +339,8 @@ Status Partition::MergeDelta(const uint8_t* data, size_t len) {
 void Partition::Reset() {
   index_.Clear();
   lss_.TruncateTo(lss_.tail());
+  live_from_ = lss_.tail();
+  live_floor_ = kNoLiveBucket;
   entry_count_.store(0, std::memory_order_relaxed);
 }
 

@@ -25,6 +25,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <vector>
 
 #include "common/hash.h"
@@ -101,13 +102,20 @@ class Partition {
 
   // --- Scans (require quiescence) ------------------------------------------
 
-  /// Visits every live (non-tombstoned) entry with its value bytes.
+  /// Visits every live (non-tombstoned) entry with its value bytes. The
+  /// walk starts past the dead prefix of the log, so its cost follows the
+  /// live entries, not the log's history.
   void ForEachLive(
       const std::function<void(const EntryHeader&, const uint8_t*)>& fn) const;
 
   /// Marks all entries of buckets <= `bucket` tombstoned (window triggered
   /// and emitted; the state is dead). Returns the number tombstoned.
   size_t TombstoneBucketsUpTo(int64_t bucket);
+
+  /// A lower bound on the bucket of every live entry; kNoLiveBucket when
+  /// nothing is live. A trigger below it has nothing to emit or retire.
+  static constexpr int64_t kNoLiveBucket = std::numeric_limits<int64_t>::max();
+  int64_t live_bucket_floor() const { return live_floor_; }
 
   // --- Epoch support --------------------------------------------------------
 
@@ -180,6 +188,13 @@ class Partition {
   HashIndex index_;
   LogStructuredStore lss_;
   std::atomic<uint64_t> entry_count_{0};
+  // Invariants kept by InsertEntry, TombstoneBucketsUpTo and Reset:
+  //  * every live entry has bucket >= live_floor_ (InsertEntry lowers it
+  //    through atomic_ref, so concurrent inserts keep the bound);
+  //  * every entry below live_from_ is tombstoned or filler, so scans start
+  //    there. Tombstones are never cleared, so the prefix only grows.
+  int64_t live_floor_ = kNoLiveBucket;
+  uint64_t live_from_ = 0;
   uint64_t epoch_ = 0;
   mutable std::atomic_flag alloc_lock_ = ATOMIC_FLAG_INIT;
 };

@@ -35,6 +35,27 @@ TEST(MemoryTest, RegisterAndFindByRkey) {
   EXPECT_EQ(fabric.pd(0)->registered_bytes(), 4096u);
 }
 
+TEST(MemoryTest, KeysArePerFabric) {
+  // Keys come from the fabric, not the process: a second fabric built after
+  // the first hands out the same keys, and each resolves only its own.
+  sim::Simulator sim_a;
+  Fabric a(&sim_a, TwoNodeConfig());
+  MemoryRegion* a0 = a.pd(0)->RegisterRegion(64);
+  MemoryRegion* a1 = a.pd(1)->RegisterRegion(64);
+  EXPECT_NE(a0->remote_key().rkey, a1->remote_key().rkey);
+
+  sim::Simulator sim_b;
+  Fabric b(&sim_b, TwoNodeConfig());
+  MemoryRegion* b0 = b.pd(0)->RegisterRegion(64);
+  MemoryRegion* b1 = b.pd(1)->RegisterRegion(64);
+  EXPECT_EQ(b0->remote_key().rkey, a0->remote_key().rkey);
+  EXPECT_EQ(b1->remote_key().rkey, a1->remote_key().rkey);
+  EXPECT_EQ(b.pd(0)->FindByRkey(b0->remote_key().rkey), b0);
+  EXPECT_EQ(a.pd(0)->FindByRkey(a0->remote_key().rkey), a0);
+  // A key registered on another node of the fabric is foreign here.
+  EXPECT_EQ(b.pd(0)->FindByRkey(b1->remote_key().rkey), nullptr);
+}
+
 TEST(MemoryTest, RegionsZeroInitialized) {
   sim::Simulator sim;
   Fabric fabric(&sim, TwoNodeConfig());

@@ -123,7 +123,7 @@ TEST(SlashEngineTest, CountersAccumulatePerRole) {
   const RunStats stats = engine.Run(workload.MakeQuery(), workload, cfg);
   // Merging happens on the worker cores (no dedicated leader role).
   ASSERT_TRUE(stats.role_counters().count("worker"));
-  const perf::Counters& workers = stats.role_counters().at("worker");
+  const perf::Counters workers = stats.role_counters().at("worker");
   EXPECT_EQ(workers.records, stats.records_in());
   EXPECT_GT(workers.instructions, 0);
   EXPECT_GT(workers.ipc(), 0);

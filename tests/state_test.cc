@@ -172,36 +172,44 @@ TEST(HashIndexTest, ManyKeysOverflowIntoChains) {
 }
 
 TEST(HashIndexTest, ConcurrentInsertsFromRealThreads) {
-  HashIndex index(1024);
-  constexpr int kThreads = 4;
-  constexpr uint64_t kKeysPerThread = 2000;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&index, t] {
-      for (uint64_t i = 0; i < kKeysPerThread; ++i) {
-        const uint64_t key = uint64_t(t) * kKeysPerThread + i;
-        const KeyHash h = HashKey(key);
-        uint64_t expected = index.Find(h);
-        uint64_t observed;
-        while (!index.CompareExchangeHead(h, expected, key + 1, &observed)) {
-          expected = observed;
+  // 1024 buckets: mostly fresh claims. 16 buckets: long overflow chains, and
+  // the pool crosses a segment boundary while other threads walk chains.
+  for (const size_t bucket_count : {size_t{1024}, size_t{16}}) {
+    HashIndex index(bucket_count);
+    constexpr int kThreads = 4;
+    constexpr uint64_t kKeysPerThread = 2000;
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&index, t] {
+        for (uint64_t i = 0; i < kKeysPerThread; ++i) {
+          const uint64_t key = uint64_t(t) * kKeysPerThread + i;
+          const KeyHash h = HashKey(key);
+          uint64_t expected = index.Find(h);
+          uint64_t observed;
+          while (!index.CompareExchangeHead(h, expected, key + 1, &observed)) {
+            expected = observed;
+          }
         }
-      }
-    });
+      });
+    }
+    for (auto& t : threads) t.join();
+    // Each (bucket, tag) group's head must be one of the keys mapped to it.
+    std::map<std::pair<uint64_t, uint16_t>, std::set<uint64_t>> groups;
+    for (uint64_t key = 0; key < kThreads * kKeysPerThread; ++key) {
+      const KeyHash h = HashKey(key);
+      groups[std::make_pair(h.bucket_hash & (bucket_count - 1), h.tag)]
+          .insert(key + 1);
+    }
+    for (const auto& [group, members] : groups) {
+      const uint64_t found = index.Find(HashKey(*members.begin() - 1));
+      EXPECT_TRUE(members.count(found))
+          << "group head " << found << " not a member address";
+    }
+    EXPECT_EQ(index.size(), groups.size());
+    if (bucket_count == 16) {
+      EXPECT_GT(index.overflow_count(), 1024u);
+    }
   }
-  for (auto& t : threads) t.join();
-  // Each (bucket, tag) group's head must be one of the keys mapped to it.
-  std::map<std::pair<uint64_t, uint16_t>, std::set<uint64_t>> groups;
-  for (uint64_t key = 0; key < kThreads * kKeysPerThread; ++key) {
-    const KeyHash h = HashKey(key);
-    groups[std::make_pair(h.bucket_hash & 1023, h.tag)].insert(key + 1);
-  }
-  for (const auto& [group, members] : groups) {
-    const uint64_t found = index.Find(HashKey(*members.begin() - 1));
-    EXPECT_TRUE(members.count(found))
-        << "group head " << found << " not a member address";
-  }
-  EXPECT_EQ(index.size(), groups.size());
 }
 
 TEST(HashIndexTest, FindBatchMatchesScalar) {
@@ -230,6 +238,71 @@ TEST(HashIndexTest, FindBatchMatchesScalar) {
   uint64_t one = ~0ULL;
   index.FindBatch(hashes.data(), 1, &one);
   EXPECT_EQ(one, index.Find(hashes[0]));
+}
+
+// Clear() resets only the home buckets claimed since the last Clear; after
+// inserts that spill into overflow chains, each cycle must still leave an
+// index indistinguishable from a fresh one.
+TEST(HashIndexTest, ClearAfterOverflowBehavesLikeFresh) {
+  HashIndex index(2);  // 14 home slots: every cycle spills
+  for (uint64_t cycle = 0; cycle < 50; ++cycle) {
+    HashIndex fresh(2);
+    const uint64_t keys = 20 + cycle * 7;  // vary the spill depth per cycle
+    for (uint64_t i = 0; i < keys; ++i) {
+      const KeyHash h = HashKey(cycle * 1000 + i);
+      for (HashIndex* idx : {&index, &fresh}) {
+        uint64_t expected = idx->Find(h);
+        uint64_t observed;
+        while (!idx->CompareExchangeHead(h, expected, i + 1, &observed)) {
+          expected = observed;
+        }
+      }
+    }
+    ASSERT_GT(index.overflow_count(), 0u) << "cycle " << cycle;
+    EXPECT_EQ(index.overflow_count(), fresh.overflow_count());
+    EXPECT_EQ(index.size(), fresh.size());
+    // Probe this cycle's keys and the previous cycle's (now cleared) keys.
+    for (uint64_t i = 0; i < keys + 200; ++i) {
+      const KeyHash mine = HashKey(cycle * 1000 + i);
+      EXPECT_EQ(index.Find(mine), fresh.Find(mine)) << "cycle " << cycle;
+      if (cycle > 0) {
+        const KeyHash old = HashKey((cycle - 1) * 1000 + i);
+        EXPECT_EQ(index.Find(old), fresh.Find(old)) << "cycle " << cycle;
+      }
+    }
+    index.Clear();
+    ASSERT_EQ(index.size(), 0u) << "cycle " << cycle;
+    EXPECT_EQ(index.overflow_count(), 0u);
+    EXPECT_EQ(index.Find(HashKey(cycle * 1000)), HashIndex::kInvalidAddress);
+  }
+}
+
+// The destructor frees exactly the segments it allocated: none, or several
+// (each segment holds 1024 overflow buckets), including reused ones.
+TEST(HashIndexTest, DestroysWithZeroOrSeveralSegments) {
+  { HashIndex empty(64); }
+  {
+    HashIndex used(64);
+    uint64_t observed;
+    ASSERT_TRUE(used.CompareExchangeHead(HashKey(1), HashIndex::kInvalidAddress,
+                                         1, &observed));
+    EXPECT_EQ(used.overflow_count(), 0u);
+  }
+  {
+    HashIndex index(256);
+    for (int round = 0; round < 2; ++round) {
+      for (uint64_t k = 0; k < 40000; ++k) {
+        const KeyHash h = HashKey(k);
+        uint64_t expected = index.Find(h);
+        uint64_t observed;
+        while (!index.CompareExchangeHead(h, expected, k + 1, &observed)) {
+          expected = observed;
+        }
+      }
+      ASSERT_GT(index.overflow_count(), 2u * 1024u);  // >= 3 segments
+      if (round == 0) index.Clear();  // the second round reuses segments
+    }
+  }
 }
 
 // --- Partition ----------------------------------------------------------------
@@ -370,6 +443,55 @@ TEST(PartitionTest, TombstoneHidesTriggeredBuckets) {
   int live = 0;
   p.ForEachLive([&](const EntryHeader&, const uint8_t*) { ++live; });
   EXPECT_EQ(live, 1);
+}
+
+TEST(PartitionTest, LiveBucketFloorTracksInsertsTombstonesAndReset) {
+  Partition p(0, SmallAggConfig());
+  EXPECT_EQ(p.live_bucket_floor(), Partition::kNoLiveBucket);
+  p.UpdateAggregate({1, 5}, 1);
+  p.UpdateAggregate({2, 3}, 1);
+  EXPECT_EQ(p.live_bucket_floor(), 3);
+  EXPECT_EQ(p.TombstoneBucketsUpTo(3), 1u);
+  EXPECT_EQ(p.live_bucket_floor(), 5);  // the smallest survivor
+  p.UpdateAggregate({3, 1}, 1);         // a late insert lowers it again
+  EXPECT_EQ(p.live_bucket_floor(), 1);
+  EXPECT_EQ(p.TombstoneBucketsUpTo(9), 2u);
+  EXPECT_EQ(p.live_bucket_floor(), Partition::kNoLiveBucket);
+  p.UpdateAggregate({4, 7}, 1);
+  p.Reset();
+  EXPECT_EQ(p.live_bucket_floor(), Partition::kNoLiveBucket);
+}
+
+// Scans start after the dead prefix of the log. A wrap filler at the start
+// of that prefix must be stepped over, not read as an entry.
+TEST(PartitionTest, DeadPrefixWithWrapFillerIsSkipped) {
+  Partition p(0, SmallAppendConfig());  // 4 KiB log
+  const uint8_t payload[40] = {7};      // 32 + 40 bytes -> 96-byte entries
+  // Fill 42 entries (4032 bytes), then restart the log there: the next
+  // append no longer fits the lap and pads 4032..4096 with a filler.
+  for (uint64_t i = 0; i < 42; ++i) p.Append({i, 0}, 0, payload, 40);
+  p.Reset();
+  ASSERT_EQ(p.lss().head(), 4032u);
+  p.Append({100, 1}, 0, payload, 40);  // bucket 1, dies below
+  p.Append({101, 1}, 0, payload, 40);  // bucket 1, dies below
+  p.Append({102, 4}, 0, payload, 40);  // bucket 4, survives
+  ASSERT_EQ(p.lss().tail(), 4096u + 3 * 96u) << "expected a wrap filler";
+  ASSERT_EQ(p.lss().resize_count(), 0u);
+
+  EXPECT_EQ(p.TombstoneBucketsUpTo(2), 2u);
+  p.Append({103, 3}, 0, payload, 40);
+  std::vector<uint64_t> keys;
+  p.ForEachLive([&](const EntryHeader& h, const uint8_t* value) {
+    EXPECT_EQ(value[0], 7);
+    keys.push_back(h.key);
+  });
+  EXPECT_EQ(keys, (std::vector<uint64_t>{102, 103}));
+  EXPECT_EQ(p.TombstoneBucketsUpTo(3), 1u);
+  EXPECT_EQ(p.TombstoneBucketsUpTo(4), 1u);
+  EXPECT_EQ(p.entry_count(), 0u);
+  size_t live = 0;
+  p.ForEachLive([&](const EntryHeader&, const uint8_t*) { ++live; });
+  EXPECT_EQ(live, 0u);
 }
 
 TEST(PartitionTest, DeltaRoundTripAggregate) {

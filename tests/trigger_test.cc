@@ -109,6 +109,61 @@ TEST(TriggerWindowsTest, MinWatermarkNeverTriggers) {
   EXPECT_EQ(h.partition.entry_count(), 1u);
 }
 
+// A trigger whose threshold did not move has no live entry to emit: it
+// returns without scanning and charges nothing.
+TEST(TriggerWindowsTest, UnchangedThresholdEmitsAndChargesNothing) {
+  TriggerHarness h;
+  QuerySpec q;
+  q.window = WindowSpec::Tumbling(100);
+  q.agg = state::AggKind::kSum;
+  h.partition.UpdateAggregate({1, 0}, 5);
+  h.partition.UpdateAggregate({1, 2}, 9);
+  TriggerWindows(q, 200, &h.partition, &h.sink, &h.cpu, &h.last_wm);
+  ASSERT_EQ(h.sink.count(), 1u);
+  EXPECT_EQ(h.partition.live_bucket_floor(), 2);
+
+  const perf::Counters before = h.cpu.counters();
+  const Nanos pending = h.cpu.pending_nanos();
+  TriggerWindows(q, 250, &h.partition, &h.sink, &h.cpu, &h.last_wm);
+  EXPECT_EQ(h.last_wm, 250);
+  EXPECT_EQ(h.sink.count(), 1u);
+  EXPECT_EQ(h.partition.entry_count(), 1u);
+  const perf::Counters& after = h.cpu.counters();
+  EXPECT_EQ(after.instructions, before.instructions);
+  EXPECT_EQ(after.cycles, before.cycles);
+  EXPECT_EQ(after.mem_bytes, before.mem_bytes);
+  EXPECT_EQ(h.cpu.pending_nanos(), pending);
+}
+
+// A record that arrives for an already-triggered bucket after its tombstone
+// pass lowers the live floor again, so the next trigger still emits it.
+TEST(TriggerWindowsTest, LateInsertIntoRetiredBucketStillEmits) {
+  TriggerHarness h;
+  QuerySpec q;
+  q.window = WindowSpec::Tumbling(100);
+  q.agg = state::AggKind::kSum;
+  h.partition.UpdateAggregate({1, 0}, 5);
+  h.partition.UpdateAggregate({1, 3}, 9);
+  TriggerWindows(q, 200, &h.partition, &h.sink, &h.cpu, &h.last_wm);
+  ASSERT_EQ(h.sink.count(), 1u);
+
+  h.partition.UpdateAggregate({2, 0}, 4);  // late, below the threshold
+  TriggerWindows(q, 250, &h.partition, &h.sink, &h.cpu, &h.last_wm);
+  ASSERT_EQ(h.sink.count(), 2u);
+  EXPECT_EQ(h.sink.SortedRows()[1], (core::WindowResult{0, 2, 4}));
+
+  // Same again once nothing at all is live before the late insert.
+  TriggerWindows(q, core::kWatermarkMax - 1, &h.partition, &h.sink, &h.cpu,
+                 &h.last_wm);
+  ASSERT_EQ(h.sink.count(), 3u);
+  EXPECT_EQ(h.partition.entry_count(), 0u);
+  h.partition.UpdateAggregate({3, 1}, 6);
+  TriggerWindows(q, core::kWatermarkMax, &h.partition, &h.sink, &h.cpu,
+                 &h.last_wm);
+  ASSERT_EQ(h.sink.count(), 4u);
+  EXPECT_EQ(h.partition.entry_count(), 0u);
+}
+
 TEST(TriggerWindowsTest, SlidingEmitsAcrossCallsExactlyOnce) {
   TriggerHarness h;
   QuerySpec q;

@@ -28,3 +28,22 @@ function(slash_add_bench bench_src)
   set_target_properties(${bench_name} PROPERTIES
     RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
 endfunction()
+
+# slash_add_bench_gate(<bench target> <baseline.json> [ENV K=V...]
+#                      [ARGS arg...]): a ctest (label `bench`) that runs the
+# bench with SLASH_BENCH_JSON set and diffs its artifact against the
+# committed baseline via tools/bench_compare.py (see cmake/BenchGate.cmake).
+function(slash_add_bench_gate bench_name baseline)
+  cmake_parse_arguments(ARG "" "" "ENV;ARGS" ${ARGN})
+  add_test(NAME bench_${bench_name}
+    COMMAND ${CMAKE_COMMAND}
+      -DBENCH=$<TARGET_FILE:${bench_name}>
+      -DBASELINE=${baseline}
+      -DOUT_DIR=${CMAKE_BINARY_DIR}/bench-json
+      -DCOMPARE=${PROJECT_SOURCE_DIR}/tools/bench_compare.py
+      -DPYTHON=${Python3_EXECUTABLE}
+      "-DBENCH_ENV=${ARG_ENV}"
+      "-DBENCH_ARGS=${ARG_ARGS}"
+      -P ${PROJECT_SOURCE_DIR}/cmake/BenchGate.cmake)
+  set_tests_properties(bench_${bench_name} PROPERTIES LABELS bench)
+endfunction()

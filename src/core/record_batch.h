@@ -1,28 +1,17 @@
 // Columnar micro-batches of stream records.
 //
 // A RecordBatch is a structure-of-arrays view of up to `capacity` records:
-// one contiguous column per Record field plus a watermark side column the
-// staged engine paths use to replay flow-control decisions exactly (a
-// record staged ahead of processing must observe the watermark that held
-// when it was *read*, not when it is processed). Columns are cache-line
-// aligned and allocated once, so tight kernel loops (workloads/
-// batch_kernels.h) vectorize and batches recycle through a pool without
-// touching the allocator on the hot path — the same discipline as the DES
-// event-node pool (sim/simulator.h).
-//
-// The batch is a staging structure, not an ownership change: engines fill
-// it from a RecordSource or a wire buffer, process elements in the exact
-// order they were appended, and Clear() it for reuse. Batch size is a
-// scheduling knob only — any per-record work done on batch elements must
-// be issued in append order so virtual-time charging stays bit-identical
-// across batch sizes (see DESIGN.md §11).
+// one contiguous column per Record field. Columns are cache-line aligned
+// and allocated once, so the tight kernel loops of workloads/
+// batch_kernels.h vectorize. The engines process records one at a time and
+// never build a batch; the columnar path is exercised by bench/
+// microbench_sim's operator sweep (DESIGN.md §11).
 #ifndef SLASH_CORE_RECORD_BATCH_H_
 #define SLASH_CORE_RECORD_BATCH_H_
 
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
-#include <vector>
 
 #include "common/logging.h"
 #include "core/record.h"
@@ -33,12 +22,12 @@ class RecordBatch {
  public:
   explicit RecordBatch(uint32_t capacity) : capacity_(capacity) {
     SLASH_CHECK_GT(capacity, 0u);
-    // One aligned allocation holding all five columns back to back, each
+    // One aligned allocation holding all four columns back to back, each
     // column padded to a 64-byte boundary.
     const size_t col64 = Pad64(capacity * sizeof(int64_t));
     const size_t col16 = Pad64(capacity * sizeof(uint16_t));
-    bytes_ = 3 * col64 + col16 + col64;  // ts, key, value, stream, watermark
-    storage_.reset(static_cast<uint8_t*>(std::aligned_alloc(64, bytes_)));
+    const size_t bytes = 3 * col64 + col16;  // ts, key, value, stream
+    storage_.reset(static_cast<uint8_t*>(std::aligned_alloc(64, bytes)));
     SLASH_CHECK(storage_ != nullptr);
     uint8_t* p = storage_.get();
     timestamps_ = reinterpret_cast<int64_t*>(p);
@@ -48,41 +37,24 @@ class RecordBatch {
     values_ = reinterpret_cast<int64_t*>(p);
     p += col64;
     stream_ids_ = reinterpret_cast<uint16_t*>(p);
-    p += col16;
-    watermarks_ = reinterpret_cast<int64_t*>(p);
   }
 
   RecordBatch(const RecordBatch&) = delete;
   RecordBatch& operator=(const RecordBatch&) = delete;
 
-  uint32_t capacity() const { return capacity_; }
   uint32_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
   bool full() const { return size_ == capacity_; }
-  uint64_t column_bytes() const { return bytes_; }
 
-  /// Appends one record (with an optional staged watermark); false when the
-  /// batch is at capacity.
-  bool Append(const Record& r, int64_t watermark = 0) {
+  /// Appends one record; false when the batch is at capacity.
+  bool Append(const Record& r) {
     if (size_ == capacity_) return false;
     timestamps_[size_] = r.timestamp;
     keys_[size_] = r.key;
     values_[size_] = r.value;
     stream_ids_[size_] = r.stream_id;
-    watermarks_[size_] = watermark;
     ++size_;
     return true;
-  }
-
-  /// Materializes element `i` back into row form (gather).
-  Record Get(uint32_t i) const {
-    SLASH_CHECK_LT(i, size_);
-    return Record{timestamps_[i], keys_[i], values_[i], stream_ids_[i]};
-  }
-
-  int64_t watermark(uint32_t i) const {
-    SLASH_CHECK_LT(i, size_);
-    return watermarks_[i];
   }
 
   void Clear() { size_ = 0; }
@@ -99,12 +71,10 @@ class RecordBatch {
   uint64_t* keys() { return keys_; }
   int64_t* values() { return values_; }
   uint16_t* stream_ids() { return stream_ids_; }
-  int64_t* watermarks() { return watermarks_; }
   const int64_t* timestamps() const { return timestamps_; }
   const uint64_t* keys() const { return keys_; }
   const int64_t* values() const { return values_; }
   const uint16_t* stream_ids() const { return stream_ids_; }
-  const int64_t* watermarks() const { return watermarks_; }
 
  private:
   static size_t Pad64(size_t n) { return (n + 63) / 64 * 64; }
@@ -115,54 +85,11 @@ class RecordBatch {
 
   uint32_t capacity_;
   uint32_t size_ = 0;
-  size_t bytes_ = 0;
   std::unique_ptr<uint8_t, FreeDeleter> storage_;
   int64_t* timestamps_ = nullptr;
   uint64_t* keys_ = nullptr;
   int64_t* values_ = nullptr;
   uint16_t* stream_ids_ = nullptr;
-  int64_t* watermarks_ = nullptr;
-};
-
-/// Free-list pool of equally sized RecordBatches (PR 3 allocator pattern:
-/// allocate on miss, recycle forever, count hits for observability). All
-/// batches in one pool share a capacity; Acquire after warm-up never
-/// allocates.
-class RecordBatchPool {
- public:
-  explicit RecordBatchPool(uint32_t batch_capacity)
-      : batch_capacity_(batch_capacity) {}
-
-  std::unique_ptr<RecordBatch> Acquire() {
-    ++acquires_;
-    if (!free_.empty()) {
-      ++hits_;
-      std::unique_ptr<RecordBatch> b = std::move(free_.back());
-      free_.pop_back();
-      b->Clear();
-      return b;
-    }
-    return std::make_unique<RecordBatch>(batch_capacity_);
-  }
-
-  void Release(std::unique_ptr<RecordBatch> batch) {
-    SLASH_CHECK(batch != nullptr);
-    SLASH_CHECK_EQ(batch->capacity(), batch_capacity_);
-    free_.push_back(std::move(batch));
-  }
-
-  uint32_t batch_capacity() const { return batch_capacity_; }
-  uint64_t acquires() const { return acquires_; }
-  uint64_t hits() const { return hits_; }
-  double hit_rate() const {
-    return acquires_ == 0 ? 0.0 : double(hits_) / double(acquires_);
-  }
-
- private:
-  uint32_t batch_capacity_;
-  std::vector<std::unique_ptr<RecordBatch>> free_;
-  uint64_t acquires_ = 0;
-  uint64_t hits_ = 0;
 };
 
 }  // namespace slash::core

@@ -10,7 +10,6 @@
 
 #include "core/pipeline.h"
 #include "core/record.h"
-#include "core/record_batch.h"
 #include "engines/repartition_common.h"
 #include "engines/trigger.h"
 #include "state/partition.h"
@@ -69,9 +68,6 @@ struct ConsumerState {
   int attempt = 1;
   std::unique_ptr<perf::CpuContext> cpu;
   std::unique_ptr<state::Partition> partition;
-  // Columnar staging buffer for ProcessFrame (sized to operator_batch,
-  // allocated once — the receive path stays allocation-free per frame).
-  std::unique_ptr<core::RecordBatch> batch;
   core::ResultSink sink;
   std::vector<int64_t> sender_wm;
   std::vector<bool> sender_final;
@@ -419,89 +415,59 @@ sim::Task Sender(FlinkRun* run, SenderState* s) {
   const int total_consumers = run->consumers_total();
   const uint64_t interval = run->BarrierInterval();
   const size_t nflows = s->mux->flow_count();
-  // Columnar staging (config.operator_batch > 1): records are pulled from
-  // the mux charge-free — capturing the watermark each one observed at read
-  // time — and replayed in append order through the exact scalar per-record
-  // sequence (DESIGN.md §11). A staged chunk never crosses an aligned-
-  // barrier boundary: the barrier block reads the mux's flow offsets and
-  // watermark directly, so the mux must not be read ahead of the cut.
-  const uint32_t operator_batch =
-      std::max<uint32_t>(1u, run->config.operator_batch);
-  core::RecordBatch staged(operator_batch);
   Record r;
   uint64_t batch = 0;
-  bool more = s->mux->Next(&r);
-  while (!halted() && more) {
-    uint64_t bound = operator_batch;
-    if (run->checkpointing()) {
-      const uint64_t target = s->next_barrier * interval;
-      const uint64_t until_barrier =
-          target > s->consumed_total ? target - s->consumed_total : 1;
-      bound = std::min<uint64_t>(bound, until_barrier);
-    }
-    staged.Clear();
-    staged.Append(r, s->mux->watermark());
-    // Short-circuit keeps the mux un-read past the chunk: the next chunk's
-    // first record is pulled only after this chunk (and any barrier on its
-    // last record) has been replayed.
-    while (staged.size() < bound && s->mux->Next(&r)) {
-      staged.Append(r, s->mux->watermark());
-    }
-    for (uint32_t i = 0; !halted() && i < staged.size(); ++i) {
-      Record cur = staged.Get(i);
-      const int64_t staged_wm = staged.watermark(i);
-      ++run->records_in;
-      ++s->consumed_total;
-      cpu->CountRecords(1);
-      const uint16_t wire_size = run->workload->wire_size(cur.stream_id);
-      cpu->ChargeBytes(Op::kSourceReadPerByte, wire_size);
-      // Managed-runtime record handling: deserialization into objects,
-      // virtual operator dispatch, serialization back into network buffers.
-      cpu->Charge(Op::kRuntimeOverhead);
-      if (pipeline.Process(&cur)) {
-        cpu->Charge(Op::kHashCompute);
-        cpu->Charge(Op::kPartitionSelect);
-        cpu->Charge(Op::kFanoutWrite);
-        const int c = ConsumerOf(cur.key, total_consumers);
-        Outbound* ob = &s->outbound[c];
-        if (ob->writer == nullptr) OpenLane(run, ob);
-        if (!ob->writer->Append(cur, wire_size)) {
-          co_await FlushLane(run, s, ob, staged_wm,
-                             /*final_marker=*/false);
-          if (halted()) co_return;
-          OpenLane(run, ob);
-          SLASH_CHECK(ob->writer->Append(cur, wire_size));
-        }
-      }
-      // Aligned checkpoint barrier: flush pending data on every lane, then
-      // close the round on every lane and record the flow offsets of this
-      // exact cut (the round's replay positions). The staging bound
-      // guarantees this fires only on the chunk's last record, when the
-      // mux holds exactly the cut's offsets and watermark.
-      if (run->checkpointing() &&
-          s->consumed_total >= s->next_barrier * interval) {
-        const uint64_t round = s->next_barrier++;
-        std::vector<uint64_t> offsets(nflows);
-        for (size_t f = 0; f < nflows; ++f) offsets[f] = s->mux->consumed(f);
-        const int64_t wm = s->mux->watermark();
-        for (Outbound& ob : s->outbound) {
-          co_await FlushLane(run, s, &ob, wm, /*final_marker=*/false);
-          if (halted()) co_return;
-        }
-        for (Outbound& ob : s->outbound) {
-          co_await SendBarrier(run, s, &ob, round, wm);
-          if (halted()) co_return;
-        }
-        Contribute(run, s->node, s->global_id, round, SenderPart(*s, offsets),
-                   /*terminal=*/false);
-      }
-      if (++batch >= run->config.source_batch) {
-        batch = 0;
-        co_await cpu->Sync();
+  // The mux is read only after the previous record (and any barrier on it)
+  // is fully processed: the barrier block reads the mux's flow offsets and
+  // watermark as the cut, so the mux must never be read past it.
+  while (!halted() && s->mux->Next(&r)) {
+    ++run->records_in;
+    ++s->consumed_total;
+    cpu->CountRecords(1);
+    const uint16_t wire_size = run->workload->wire_size(r.stream_id);
+    cpu->ChargeBytes(Op::kSourceReadPerByte, wire_size);
+    // Managed-runtime record handling: deserialization into objects,
+    // virtual operator dispatch, serialization back into network buffers.
+    cpu->Charge(Op::kRuntimeOverhead);
+    if (pipeline.Process(&r)) {
+      cpu->Charge(Op::kHashCompute);
+      cpu->Charge(Op::kPartitionSelect);
+      cpu->Charge(Op::kFanoutWrite);
+      const int c = ConsumerOf(r.key, total_consumers);
+      Outbound* ob = &s->outbound[c];
+      if (ob->writer == nullptr) OpenLane(run, ob);
+      if (!ob->writer->Append(r, wire_size)) {
+        co_await FlushLane(run, s, ob, s->mux->watermark(),
+                           /*final_marker=*/false);
+        if (halted()) co_return;
+        OpenLane(run, ob);
+        SLASH_CHECK(ob->writer->Append(r, wire_size));
       }
     }
-    if (halted()) break;
-    more = s->mux->Next(&r);
+    // Aligned checkpoint barrier: flush pending data on every lane, then
+    // close the round on every lane and record the flow offsets of this
+    // exact cut (the round's replay positions).
+    if (run->checkpointing() &&
+        s->consumed_total >= s->next_barrier * interval) {
+      const uint64_t round = s->next_barrier++;
+      std::vector<uint64_t> offsets(nflows);
+      for (size_t f = 0; f < nflows; ++f) offsets[f] = s->mux->consumed(f);
+      const int64_t wm = s->mux->watermark();
+      for (Outbound& ob : s->outbound) {
+        co_await FlushLane(run, s, &ob, wm, /*final_marker=*/false);
+        if (halted()) co_return;
+      }
+      for (Outbound& ob : s->outbound) {
+        co_await SendBarrier(run, s, &ob, round, wm);
+        if (halted()) co_return;
+      }
+      Contribute(run, s->node, s->global_id, round, SenderPart(*s, offsets),
+                 /*terminal=*/false);
+    }
+    if (++batch >= run->config.source_batch) {
+      batch = 0;
+      co_await cpu->Sync();
+    }
   }
   if (halted()) co_return;
   for (Outbound& ob : s->outbound) {
@@ -525,50 +491,34 @@ sim::Task Sender(FlinkRun* run, SenderState* s) {
 
 /// Applies one frame. Returns the barrier round it closed (0 for data and
 /// final frames).
-///
-/// The frame's records are staged charge-free into the consumer's columnar
-/// batch (chunked to operator_batch) and replayed in append order through
-/// the scalar per-record sequence — byte-identical charges across batch
-/// sizes (DESIGN.md §11).
 uint64_t ProcessFrame(FlinkRun* run, ConsumerState* c, const uint8_t* data,
                       uint64_t len, int sender) {
   perf::CpuContext* cpu = c->cpu.get();
   SLASH_CHECK_GE(len, sizeof(SocketFrame));
   SocketFrame frame;
   std::memcpy(&frame, data, sizeof(frame));
-  core::RecordBatch* staged = c->batch.get();
   core::RecordReader reader(data + sizeof(SocketFrame),
                             len - sizeof(SocketFrame));
   Record r;
   uint8_t wire_buf[512];
-  bool more = reader.Next(&r);
-  while (more) {
-    staged->Clear();
-    do {
-      staged->Append(r);
-      more = reader.Next(&r);
-    } while (more && !staged->full());
-    for (uint32_t i = 0; i < staged->size(); ++i) {
-      const Record cur = staged->Get(i);
-      cpu->CountRecords(1);
-      cpu->Charge(Op::kRecordParse);
-      cpu->Charge(Op::kDmaColdRead);
-      cpu->Charge(Op::kRuntimeOverhead);
-      cpu->Charge(Op::kWindowAssign);
-      cpu->Charge(Op::kIndexProbe);
-      const int64_t bucket = run->query->window.BucketOf(cur.timestamp);
-      if (run->query->is_join()) {
-        const uint16_t wire_size = run->workload->wire_size(cur.stream_id);
-        SLASH_CHECK_LE(size_t{wire_size}, sizeof(wire_buf));
-        SerializeWireRecord(cur, wire_size, wire_buf);
-        cpu->Charge(Op::kStateAppend);
-        cpu->ChargeBytes(Op::kBufferCopyPerByte, wire_size);
-        c->partition->Append({cur.key, bucket}, cur.stream_id, wire_buf,
-                             wire_size);
-      } else {
-        cpu->Charge(Op::kStateRmw);
-        c->partition->UpdateAggregate({cur.key, bucket}, cur.value);
-      }
+  while (reader.Next(&r)) {
+    cpu->CountRecords(1);
+    cpu->Charge(Op::kRecordParse);
+    cpu->Charge(Op::kDmaColdRead);
+    cpu->Charge(Op::kRuntimeOverhead);
+    cpu->Charge(Op::kWindowAssign);
+    cpu->Charge(Op::kIndexProbe);
+    const int64_t bucket = run->query->window.BucketOf(r.timestamp);
+    if (run->query->is_join()) {
+      const uint16_t wire_size = run->workload->wire_size(r.stream_id);
+      SLASH_CHECK_LE(size_t{wire_size}, sizeof(wire_buf));
+      SerializeWireRecord(r, wire_size, wire_buf);
+      cpu->Charge(Op::kStateAppend);
+      cpu->ChargeBytes(Op::kBufferCopyPerByte, wire_size);
+      c->partition->Append({r.key, bucket}, r.stream_id, wire_buf, wire_size);
+    } else {
+      cpu->Charge(Op::kStateRmw);
+      c->partition->UpdateAggregate({r.key, bucket}, r.value);
     }
   }
   c->sender_wm[sender] = std::max(c->sender_wm[sender], frame.watermark);
@@ -870,8 +820,6 @@ void BuildAttempt(FlinkRun* run, uint64_t round) {
     c->cpu = std::make_unique<perf::CpuContext>(&run->sim, config.cost_model,
                                                 config.cpu_ghz);
     c->partition = std::make_unique<state::Partition>(gid, run->pcfg);
-    c->batch = std::make_unique<core::RecordBatch>(
-        std::max<uint32_t>(1u, config.operator_batch));
     c->sink = core::ResultSink(config.collect_rows);
     c->arrivals = std::make_unique<sim::Event>(&run->sim);
     c->rounds_complete = round;

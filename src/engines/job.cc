@@ -11,7 +11,6 @@ ClusterConfig EffectiveConfig(const ClusterConfig& cluster,
   out.channel = job.channel;
   out.epoch_bytes = job.epoch_bytes;
   out.source_batch = job.source_batch;
-  out.operator_batch = job.operator_batch;
   out.state_lss_capacity = job.state_lss_capacity;
   out.state_index_buckets = job.state_index_buckets;
   out.seed = job.seed;

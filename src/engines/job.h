@@ -144,17 +144,6 @@ struct ClusterConfig {
   /// Records deserialized per scheduling quantum of a worker coroutine.
   uint64_t source_batch = 512;
 
-  /// Columnar micro-batch capacity of the operator pipeline: workers stage
-  /// up to this many records into a core::RecordBatch (SoA columns, pooled)
-  /// before running the processing stage over the batch. A scheduling/
-  /// layout knob, not a semantics knob — the per-record charge sequence is
-  /// preserved element-by-element, so result_checksum, the canonical
-  /// MetricsSnapshot and the virtual-time makespan are byte-identical
-  /// across batch sizes at equal seed (asserted by the batch sweep in
-  /// tests/property_test.cc). 1 (default) degenerates to the original
-  /// record-at-a-time path.
-  uint32_t operator_batch = 1;
-
   /// State backend sizing.
   uint64_t state_lss_capacity = 1ULL << 20;
   size_t state_index_buckets = 1ULL << 14;
@@ -196,7 +185,6 @@ struct JobConfig {
   channel::ChannelConfig channel;
   uint64_t epoch_bytes = 4 * kMiB;
   uint64_t source_batch = 512;
-  uint32_t operator_batch = 1;
   uint64_t state_lss_capacity = 1ULL << 20;
   size_t state_index_buckets = 1ULL << 14;
   uint64_t seed = 42;
@@ -216,7 +204,6 @@ struct JobConfig {
         channel(legacy.channel),
         epoch_bytes(legacy.epoch_bytes),
         source_batch(legacy.source_batch),
-        operator_batch(legacy.operator_batch),
         state_lss_capacity(legacy.state_lss_capacity),
         state_index_buckets(legacy.state_index_buckets),
         seed(legacy.seed),

@@ -7,7 +7,6 @@
 
 #include "core/pipeline.h"
 #include "core/record.h"
-#include "core/record_batch.h"
 #include "engines/repartition_common.h"
 #include "engines/trigger.h"
 #include "state/partition.h"
@@ -50,9 +49,6 @@ struct ConsumerState {
   int node = 0;
   std::unique_ptr<perf::CpuContext> cpu;
   std::unique_ptr<state::Partition> partition;
-  // Columnar staging buffer for ProcessBuffer (sized to operator_batch,
-  // allocated once — the receive path stays allocation-free per buffer).
-  std::unique_ptr<core::RecordBatch> batch;
   core::ResultSink sink;
   std::vector<int64_t> sender_wm;     // per global sender
   std::vector<bool> sender_final;
@@ -151,47 +147,47 @@ sim::Task FlushLane(UpParRun* run, SenderState* s, Outbound* ob,
 }
 
 /// A sender thread: source -> stateless stages -> partition -> fan-out.
-///
-/// Columnar staging (config.operator_batch > 1): records are pulled from
-/// the mux charge-free into a SoA RecordBatch — capturing the sender
-/// watermark each record observed at read time in the batch's watermark
-/// column — and then replayed in append order through the exact scalar
-/// per-record sequence. Pulls charge nothing, so the charge sequence (and
-/// with it every virtual-time decision) is byte-identical across batch
-/// sizes (DESIGN.md §11).
 sim::Task Sender(UpParRun* run, SenderState* s) {
   perf::CpuContext* cpu = s->cpu.get();
   core::RecordPipeline pipeline(run->query, cpu, run->config.execution);
   const int total_consumers = static_cast<int>(run->consumers.size());
-  const uint32_t operator_batch =
-      std::max<uint32_t>(1u, run->config.operator_batch);
-  core::RecordBatch staged(operator_batch);
   Record r;
   uint64_t batch = 0;
-  bool more = s->mux->Next(&r);
-  while (!run->failed && more) {
-    staged.Clear();
-    do {
-      staged.Append(r, s->mux->watermark());
-      more = s->mux->Next(&r);
-    } while (more && !staged.full());
-    for (uint32_t i = 0; !run->failed && i < staged.size(); ++i) {
-      Record cur = staged.Get(i);
-      const int64_t staged_wm = staged.watermark(i);
-      ++run->records_in;
-      cpu->CountRecords(1);
-      const uint16_t wire_size = run->workload->wire_size(cur.stream_id);
-      cpu->ChargeBytes(Op::kSourceReadPerByte, wire_size);
-      if (pipeline.Process(&cur)) {
-        // The costly part of the design: per-record destination selection
-        // and the data-dependent write into the destination's fan-out
-        // buffer.
-        cpu->Charge(Op::kHashCompute);
-        cpu->Charge(Op::kPartitionSelect);
-        cpu->Charge(Op::kFanoutWrite);
-        const int c = ConsumerOf(cur.key, total_consumers);
-        Outbound* ob = &s->outbound[c];
-        if (ob->channel != nullptr && !ob->slot_open) {
+  // The mux is read only after the previous record is fully processed, so
+  // a lane flush carries the watermark observed when the record was read.
+  while (!run->failed && s->mux->Next(&r)) {
+    ++run->records_in;
+    cpu->CountRecords(1);
+    const uint16_t wire_size = run->workload->wire_size(r.stream_id);
+    cpu->ChargeBytes(Op::kSourceReadPerByte, wire_size);
+    if (pipeline.Process(&r)) {
+      // The costly part of the design: per-record destination selection and
+      // the data-dependent write into the destination's fan-out buffer.
+      cpu->Charge(Op::kHashCompute);
+      cpu->Charge(Op::kPartitionSelect);
+      cpu->Charge(Op::kFanoutWrite);
+      const int c = ConsumerOf(r.key, total_consumers);
+      Outbound* ob = &s->outbound[c];
+      if (ob->channel != nullptr && !ob->slot_open) {
+        while (!ob->channel->TryAcquire(&ob->slot, cpu)) {
+          if (run->failed || ob->channel->broken()) co_return;
+          const Nanos wait_start = run->sim.now();
+          co_await ob->channel->credit_event().Wait();
+          cpu->ChargeWait(run->sim.now() - wait_start);
+        }
+        ob->slot_open = true;
+        ob->writer = std::make_unique<core::RecordWriter>(
+            ob->slot.payload, LaneCapacity(*run));
+      } else if (ob->channel == nullptr && ob->writer == nullptr) {
+        ob->staging.resize(LaneCapacity(*run));
+        ob->writer = std::make_unique<core::RecordWriter>(
+            ob->staging.data(), LaneCapacity(*run));
+      }
+      if (!ob->writer->Append(r, wire_size)) {
+        co_await FlushLane(run, s, ob, s->mux->watermark(),
+                           /*final_marker=*/false);
+        // Reopen the lane and retry; a fresh buffer always fits one record.
+        if (ob->channel != nullptr) {
           while (!ob->channel->TryAcquire(&ob->slot, cpu)) {
             if (run->failed || ob->channel->broken()) co_return;
             const Nanos wait_start = run->sim.now();
@@ -201,37 +197,16 @@ sim::Task Sender(UpParRun* run, SenderState* s) {
           ob->slot_open = true;
           ob->writer = std::make_unique<core::RecordWriter>(
               ob->slot.payload, LaneCapacity(*run));
-        } else if (ob->channel == nullptr && ob->writer == nullptr) {
-          ob->staging.resize(LaneCapacity(*run));
+        } else {
           ob->writer = std::make_unique<core::RecordWriter>(
               ob->staging.data(), LaneCapacity(*run));
         }
-        if (!ob->writer->Append(cur, wire_size)) {
-          co_await FlushLane(run, s, ob, staged_wm,
-                             /*final_marker=*/false);
-          // Reopen the lane and retry; a fresh buffer always fits one
-          // record.
-          if (ob->channel != nullptr) {
-            while (!ob->channel->TryAcquire(&ob->slot, cpu)) {
-              if (run->failed || ob->channel->broken()) co_return;
-              const Nanos wait_start = run->sim.now();
-              co_await ob->channel->credit_event().Wait();
-              cpu->ChargeWait(run->sim.now() - wait_start);
-            }
-            ob->slot_open = true;
-            ob->writer = std::make_unique<core::RecordWriter>(
-                ob->slot.payload, LaneCapacity(*run));
-          } else {
-            ob->writer = std::make_unique<core::RecordWriter>(
-                ob->staging.data(), LaneCapacity(*run));
-          }
-          SLASH_CHECK(ob->writer->Append(cur, wire_size));
-        }
+        SLASH_CHECK(ob->writer->Append(r, wire_size));
       }
-      if (++batch >= run->config.source_batch) {
-        batch = 0;
-        co_await cpu->Sync();
-      }
+    }
+    if (++batch >= run->config.source_batch) {
+      batch = 0;
+      co_await cpu->Sync();
     }
   }
   if (run->failed) co_return;
@@ -248,46 +223,30 @@ sim::Task Sender(UpParRun* run, SenderState* s) {
 }
 
 /// Applies one received buffer to the consumer's co-partitioned state.
-///
-/// The wire records are staged charge-free into the consumer's columnar
-/// batch (chunked to operator_batch) and replayed in append order through
-/// the scalar per-record sequence — byte-identical charges across batch
-/// sizes (DESIGN.md §11).
 void ProcessBuffer(UpParRun* run, ConsumerState* c, const uint8_t* payload,
                    uint64_t len, int64_t watermark, bool final_marker,
                    int sender) {
   perf::CpuContext* cpu = c->cpu.get();
-  core::RecordBatch* staged = c->batch.get();
   core::RecordReader reader(payload, len);
   Record r;
   uint8_t wire_buf[512];
-  bool more = reader.Next(&r);
-  while (more) {
-    staged->Clear();
-    do {
-      staged->Append(r);
-      more = reader.Next(&r);
-    } while (more && !staged->full());
-    for (uint32_t i = 0; i < staged->size(); ++i) {
-      const Record cur = staged->Get(i);
-      cpu->CountRecords(1);
-      cpu->Charge(Op::kRecordParse);
-      cpu->Charge(Op::kDmaColdRead);
-      cpu->Charge(Op::kWindowAssign);
-      cpu->Charge(Op::kIndexProbe);
-      const int64_t bucket = run->query->window.BucketOf(cur.timestamp);
-      if (run->query->is_join()) {
-        const uint16_t wire_size = run->workload->wire_size(cur.stream_id);
-        SLASH_CHECK_LE(size_t{wire_size}, sizeof(wire_buf));
-        SerializeWireRecord(cur, wire_size, wire_buf);
-        cpu->Charge(Op::kStateAppend);
-        cpu->ChargeBytes(Op::kBufferCopyPerByte, wire_size);
-        c->partition->Append({cur.key, bucket}, cur.stream_id, wire_buf,
-                             wire_size);
-      } else {
-        cpu->Charge(Op::kStateRmw);
-        c->partition->UpdateAggregate({cur.key, bucket}, cur.value);
-      }
+  while (reader.Next(&r)) {
+    cpu->CountRecords(1);
+    cpu->Charge(Op::kRecordParse);
+    cpu->Charge(Op::kDmaColdRead);
+    cpu->Charge(Op::kWindowAssign);
+    cpu->Charge(Op::kIndexProbe);
+    const int64_t bucket = run->query->window.BucketOf(r.timestamp);
+    if (run->query->is_join()) {
+      const uint16_t wire_size = run->workload->wire_size(r.stream_id);
+      SLASH_CHECK_LE(size_t{wire_size}, sizeof(wire_buf));
+      SerializeWireRecord(r, wire_size, wire_buf);
+      cpu->Charge(Op::kStateAppend);
+      cpu->ChargeBytes(Op::kBufferCopyPerByte, wire_size);
+      c->partition->Append({r.key, bucket}, r.stream_id, wire_buf, wire_size);
+    } else {
+      cpu->Charge(Op::kStateRmw);
+      c->partition->UpdateAggregate({r.key, bucket}, r.value);
     }
   }
   c->sender_wm[sender] = std::max(c->sender_wm[sender], watermark);
@@ -449,8 +408,6 @@ RunStats UpParEngine::RunQuery(const core::QuerySpec& query,
       c->cpu = std::make_unique<perf::CpuContext>(&run.sim, config.cost_model,
                                                   config.cpu_ghz);
       c->partition = std::make_unique<state::Partition>(c->global_id, pcfg);
-      c->batch = std::make_unique<core::RecordBatch>(
-          std::max<uint32_t>(1u, config.operator_batch));
       c->sink = core::ResultSink(config.collect_rows);
       c->arrivals = std::make_unique<sim::Event>(&run.sim);
       run.consumers.push_back(std::move(c));

@@ -81,11 +81,12 @@ enum class Op : uint8_t {
   kRdmaDoorbell,        // one MMIO doorbell ringing a queued WR chain
   kRdmaInlineCopyPerByte, // copying payload bytes into the WQE (inline send)
 
-  // Vectorized operator path (columnar micro-batches, opt-in bench/kernel
-  // charging — see workloads/batch_kernels.h). Costs are per *record* in a
-  // batch: amortized dispatch, predicated filters instead of branches,
-  // software-prefetched index probes that overlap the DRAM misses the
-  // scalar path eats serially.
+  // Vectorized operator path (columnar micro-batches, charged only by
+  // bench/microbench_sim via workloads/batch_kernels.h; the engines charge
+  // the scalar ops above). Costs are per *record* in a batch: amortized
+  // dispatch, predicated filters instead of branches, software-prefetched
+  // index probes that overlap the DRAM misses the scalar path eats
+  // serially.
   kBatchSetup,          // per-batch loop setup / column pointer materialization
   kVecRecordParse,      // columnar field load (no per-record dispatch)
   kVecFilterBranch,     // predicated filter evaluation over a column

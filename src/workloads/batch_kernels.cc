@@ -8,7 +8,6 @@ uint32_t YsbFilterProjectBatch(core::RecordBatch* batch) {
   uint64_t* keys = batch->keys();
   int64_t* values = batch->values();
   uint16_t* streams = batch->stream_ids();
-  int64_t* wms = batch->watermarks();
   uint32_t kept = 0;
   // Branch-free keep-mask compaction: every survivor is written to the
   // next output slot; the write index advances by the predicate value.
@@ -20,29 +19,7 @@ uint32_t YsbFilterProjectBatch(core::RecordBatch* batch) {
     keys[kept] = keys[i];
     values[kept] = 1;  // projection: every view counts once
     streams[kept] = streams[i];
-    wms[kept] = wms[i];
     kept += keep;
-  }
-  batch->Resize(kept);
-  return kept;
-}
-
-uint32_t FilterProjectBatch(const core::QuerySpec& query,
-                            core::RecordBatch* batch) {
-  if (!query.filter && !query.project) return batch->size();
-  const uint32_t n = batch->size();
-  uint32_t kept = 0;
-  for (uint32_t i = 0; i < n; ++i) {
-    core::Record r = batch->Get(i);
-    const int64_t wm = batch->watermark(i);
-    if (query.filter && !query.filter(r)) continue;
-    if (query.project) query.project(&r);
-    batch->timestamps()[kept] = r.timestamp;
-    batch->keys()[kept] = r.key;
-    batch->values()[kept] = r.value;
-    batch->stream_ids()[kept] = r.stream_id;
-    batch->watermarks()[kept] = wm;
-    ++kept;
   }
   batch->Resize(kept);
   return kept;

@@ -6,22 +6,19 @@
 // through HashIndex::FindBatch / Partition::UpdateAggregateBatch. Each
 // kernel is semantically identical to running its scalar counterpart over
 // the batch elements in order — only the instruction schedule and memory
-// access pattern differ (verified by tests/state_test.cc and the batch
-// sweep in tests/property_test.cc).
+// access pattern differ (verified by tests/state_test.cc and
+// tests/workloads_test.cc).
 //
 // Cost-model charging is the CALLER's job: the scalar path charges
 // kRecordParse/kFilterBranch/... per record, the vectorized path charges
 // kBatchSetup once per batch plus the kVec* ops per record (see
-// perf/cost_model.h). Engines keep the scalar charge sequence so virtual
-// time stays bit-identical across operator batch sizes; the vectorized
-// charging is used by the opt-in benchmarks (bench/microbench_sim) whose
-// baselines were committed with it.
+// perf/cost_model.h). Only bench/microbench_sim's operator sweep runs these
+// kernels; the engines run the scalar per-record path.
 #ifndef SLASH_WORKLOADS_BATCH_KERNELS_H_
 #define SLASH_WORKLOADS_BATCH_KERNELS_H_
 
 #include <cstdint>
 
-#include "core/query.h"
 #include "core/record_batch.h"
 #include "perf/cost_model.h"
 #include "state/partition.h"
@@ -35,12 +32,6 @@ namespace slash::workloads {
 ///   filter(value == 0); project(value = 1)
 /// per record in order.
 uint32_t YsbFilterProjectBatch(core::RecordBatch* batch);
-
-/// Generic stateless prefix for arbitrary QuerySpec filter/project chains
-/// (CM and the NEXMark queries have no filter, so this degenerates to a
-/// pass-through). Compacts in place, returns survivors.
-uint32_t FilterProjectBatch(const core::QuerySpec& query,
-                            core::RecordBatch* batch);
 
 /// Tumbling-window bucket assignment: out[i] = timestamps[i] / window_size.
 void AssignBucketsBatch(const core::RecordBatch& batch, int64_t window_size,

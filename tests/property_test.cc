@@ -778,29 +778,24 @@ INSTANTIATE_TEST_SUITE_P(
              "_s" + std::to_string(std::get<1>(info.param));
     });
 
-// --- Operator-batch determinism across engines -------------------------------
+// --- Same-seed replay across engines -----------------------------------------
 //
-// operator_batch (engines/engine.h) is a scheduling/layout knob, not a
-// semantics knob: workers stage records charge-free into a columnar
-// RecordBatch and replay the identical per-record charge sequence in append
-// order, so result checksum, virtual-time makespan, and the full canonical
-// metrics snapshot must be byte-identical across batch sizes at equal seed.
-// This is the oracle the vectorized data plane rests on — any staged path
-// that reorders a charge, reads the mux ahead of a barrier, or captures a
-// stale watermark diverges here.
+// Every engine must replay byte-identically at equal seed: result checksum,
+// virtual-time makespan, and the full canonical metrics snapshot. The
+// fault and connection sweeps above cover Slash and UpPar; this sweep adds
+// LightSaber and fault-free Flink with aligned checkpoint barriers.
 
-// Engine under sweep: 0=Slash (local sources), 1=Slash (RDMA ingestion),
-// 2=UpPar, 3=Flink (checkpoint barriers on, exercising the barrier-bounded
-// staging chunk), 4=LightSaber (single node).
-class BatchSizeSweep : public ::testing::TestWithParam<int> {};
+// Engine under test: 0=Slash (local sources), 1=Slash (RDMA ingestion),
+// 2=UpPar, 3=Flink (checkpoint barriers on), 4=LightSaber (single node).
+class EngineReplaySweep : public ::testing::TestWithParam<int> {};
 
-TEST_P(BatchSizeSweep, BatchSizesAreByteIdentical) {
+TEST_P(EngineReplaySweep, SameSeedReplaysByteIdentically) {
   const int engine_kind = GetParam();
   workloads::YsbConfig ycfg;
   ycfg.key_range = 1000;
   workloads::YsbWorkload workload(ycfg);
 
-  auto run_batch = [&](uint32_t operator_batch) -> engines::RunStats {
+  auto run_once = [&]() -> engines::RunStats {
     engines::ClusterConfig cfg;
     cfg.seed = 11;
     cfg.nodes = engine_kind == 4 ? 1 : 3;
@@ -808,7 +803,6 @@ TEST_P(BatchSizeSweep, BatchSizesAreByteIdentical) {
     cfg.records_per_worker = 2000;
     cfg.channel.slot_bytes = 16 * kKiB;
     cfg.collect_rows = false;
-    cfg.operator_batch = operator_batch;
     switch (engine_kind) {
       case 0: {
         engines::SlashEngine engine;
@@ -835,26 +829,24 @@ TEST_P(BatchSizeSweep, BatchSizesAreByteIdentical) {
     }
   };
 
-  const engines::RunStats scalar = run_batch(1);
-  ASSERT_TRUE(scalar.ok());
-  EXPECT_GT(scalar.records_emitted(), 0u);
-  const std::string scalar_json = scalar.metrics.ToJson();
+  const engines::RunStats first = run_once();
+  ASSERT_TRUE(first.ok());
+  EXPECT_GT(first.records_emitted(), 0u);
+  const std::string first_json = first.metrics.ToJson();
   // The default channel config keeps the verbs-batching instruments
   // (doorbells, inline sends, transport choices) out of the snapshot.
-  EXPECT_EQ(scalar_json.find("channel.doorbells"), std::string::npos);
-  EXPECT_EQ(scalar_json.find("channel.inline_sends"), std::string::npos);
+  EXPECT_EQ(first_json.find("channel.doorbells"), std::string::npos);
+  EXPECT_EQ(first_json.find("channel.inline_sends"), std::string::npos);
 
-  for (uint32_t b : {8u, 64u, 256u}) {
-    SCOPED_TRACE("operator_batch=" + std::to_string(b));
-    const engines::RunStats batched = run_batch(b);
-    ASSERT_TRUE(batched.ok());
-    EXPECT_EQ(scalar.result_checksum(), batched.result_checksum());
-    EXPECT_EQ(scalar.makespan(), batched.makespan());
-    EXPECT_EQ(scalar_json, batched.metrics.ToJson());
-  }
+  const engines::RunStats second = run_once();
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(first.result_checksum(), second.result_checksum());
+  EXPECT_EQ(first.makespan(), second.makespan());
+  EXPECT_EQ(first_json, second.metrics.ToJson());
 }
 
-INSTANTIATE_TEST_SUITE_P(Engines, BatchSizeSweep, ::testing::Values(0, 1, 2, 3, 4),
+INSTANTIATE_TEST_SUITE_P(Engines, EngineReplaySweep,
+                         ::testing::Values(0, 1, 2, 3, 4),
                          [](const ::testing::TestParamInfo<int>& info) {
                            switch (info.param) {
                              case 0: return std::string("slash");

@@ -1,12 +1,15 @@
 // Tests for the benchmark workload generators: determinism, record shapes
 // (sizes, key ranges, timestamp monotonicity), distribution properties
-// (YSB filter selectivity, NB7 heavy hitters, join ratios), and query
-// specs.
+// (YSB filter selectivity, NB7 heavy hitters, join ratios), query specs,
+// and the YSB columnar batch kernels against the scalar pipeline.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <vector>
 
+#include "common/random.h"
+#include "core/record_batch.h"
+#include "workloads/batch_kernels.h"
 #include "workloads/cluster_monitoring.h"
 #include "workloads/nexmark.h"
 #include "workloads/readonly.h"
@@ -69,6 +72,74 @@ TEST(YsbTest, TimestampsSpanConfiguredWindows) {
   std::map<int64_t, int> buckets;
   for (auto& r : records) ++buckets[w.BucketOf(r.timestamp)];
   EXPECT_EQ(buckets.size(), 5u);
+}
+
+// Runs the YSB batch kernels (filter/project, bucket assignment, state-key
+// construction) over `input` and checks each stage against the scalar YSB
+// query applied record by record, in order.
+void CheckYsbKernelsMatchScalar(const std::vector<core::Record>& input,
+                                uint32_t capacity) {
+  const core::QuerySpec q = YsbWorkload().MakeQuery();
+  std::vector<core::Record> expected;
+  for (core::Record r : input) {
+    if (!q.filter(r)) continue;
+    q.project(&r);
+    expected.push_back(r);
+  }
+
+  core::RecordBatch batch(capacity);
+  for (const core::Record& r : input) ASSERT_TRUE(batch.Append(r));
+  const uint32_t kept = YsbFilterProjectBatch(&batch);
+  ASSERT_EQ(kept, expected.size());
+  ASSERT_EQ(batch.size(), kept);
+  for (uint32_t i = 0; i < kept; ++i) {
+    const core::Record got{batch.timestamps()[i], batch.keys()[i],
+                           batch.values()[i], batch.stream_ids()[i]};
+    EXPECT_EQ(got, expected[i]) << "survivor " << i;
+  }
+
+  std::vector<int64_t> buckets(capacity, -1);
+  std::vector<state::StateKey> keys(capacity);
+  AssignBucketsBatch(batch, q.window.size, buckets.data());
+  BuildStateKeysBatch(batch, buckets.data(), keys.data());
+  for (uint32_t i = 0; i < kept; ++i) {
+    const int64_t bucket = q.window.BucketOf(expected[i].timestamp);
+    EXPECT_EQ(buckets[i], bucket) << "survivor " << i;
+    EXPECT_EQ(keys[i], (state::StateKey{expected[i].key, bucket}))
+        << "survivor " << i;
+  }
+}
+
+TEST(YsbBatchKernelsTest, MatchScalarPipeline) {
+  constexpr uint32_t kCapacity = 256;
+  const int64_t span = 4 * YsbWorkload().MakeQuery().window.size;
+  Rng rng(17);
+  auto random_record = [&](int64_t value) {
+    return core::Record{int64_t(rng.NextBounded(uint64_t(span))),
+                        rng.NextBounded(1000), value,
+                        uint16_t(rng.NextBounded(4))};
+  };
+
+  {
+    SCOPED_TRACE("empty");
+    CheckYsbKernelsMatchScalar({}, kCapacity);
+  }
+  {
+    SCOPED_TRACE("all filtered");
+    std::vector<core::Record> input;
+    for (uint32_t i = 0; i < kCapacity; ++i) {
+      input.push_back(random_record(1 + int64_t(rng.NextBounded(2))));
+    }
+    CheckYsbKernelsMatchScalar(input, kCapacity);
+  }
+  {
+    SCOPED_TRACE("full, mixed event types");
+    std::vector<core::Record> input;
+    for (uint32_t i = 0; i < kCapacity; ++i) {
+      input.push_back(random_record(int64_t(rng.NextBounded(3))));
+    }
+    CheckYsbKernelsMatchScalar(input, kCapacity);
+  }
 }
 
 TEST(CmTest, DeterministicAndShaped) {

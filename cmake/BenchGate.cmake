@@ -3,7 +3,7 @@
 # baseline with tools/bench_compare.py. Invoked as
 #   cmake -DBENCH=<exe> -DBASELINE=<json> -DOUT_DIR=<dir> -DCOMPARE=<py>
 #         -DPYTHON=<python3> [-DBENCH_ENV=K=V;...] [-DBENCH_ARGS=...]
-#         -P BenchGate.cmake
+#         [-DCOMPARE_ARGS=...] -P BenchGate.cmake
 file(MAKE_DIRECTORY ${OUT_DIR})
 get_filename_component(artifact ${BASELINE} NAME)
 file(REMOVE ${OUT_DIR}/${artifact})
@@ -16,7 +16,8 @@ if(NOT bench_rc EQUAL 0)
   message(FATAL_ERROR "${BENCH} exited with ${bench_rc}")
 endif()
 execute_process(
-  COMMAND ${PYTHON} ${COMPARE} ${BASELINE} ${OUT_DIR}/${artifact}
+  COMMAND ${PYTHON} ${COMPARE} ${COMPARE_ARGS} ${BASELINE}
+          ${OUT_DIR}/${artifact}
   RESULT_VARIABLE compare_rc)
 if(NOT compare_rc EQUAL 0)
   message(FATAL_ERROR "${artifact} differs from its baseline")

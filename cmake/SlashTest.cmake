@@ -30,11 +30,12 @@ function(slash_add_bench bench_src)
 endfunction()
 
 # slash_add_bench_gate(<bench target> <baseline.json> [ENV K=V...]
-#                      [ARGS arg...]): a ctest (label `bench`) that runs the
-# bench with SLASH_BENCH_JSON set and diffs its artifact against the
-# committed baseline via tools/bench_compare.py (see cmake/BenchGate.cmake).
+#                      [ARGS arg...] [COMPARE_ARGS arg...]): a ctest (label
+# `bench`) that runs the bench with SLASH_BENCH_JSON set and diffs its
+# artifact against the committed baseline via tools/bench_compare.py, passing
+# COMPARE_ARGS through to it (see cmake/BenchGate.cmake).
 function(slash_add_bench_gate bench_name baseline)
-  cmake_parse_arguments(ARG "" "" "ENV;ARGS" ${ARGN})
+  cmake_parse_arguments(ARG "" "" "ENV;ARGS;COMPARE_ARGS" ${ARGN})
   add_test(NAME bench_${bench_name}
     COMMAND ${CMAKE_COMMAND}
       -DBENCH=$<TARGET_FILE:${bench_name}>
@@ -44,6 +45,7 @@ function(slash_add_bench_gate bench_name baseline)
       -DPYTHON=${Python3_EXECUTABLE}
       "-DBENCH_ENV=${ARG_ENV}"
       "-DBENCH_ARGS=${ARG_ARGS}"
+      "-DCOMPARE_ARGS=${ARG_COMPARE_ARGS}"
       -P ${PROJECT_SOURCE_DIR}/cmake/BenchGate.cmake)
   set_tests_properties(bench_${bench_name} PROPERTIES LABELS bench)
 endfunction()

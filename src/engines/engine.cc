@@ -10,7 +10,7 @@ RunStats Engine::Run(const core::QuerySpec& query,
                      const workloads::Workload& workload,
                      const ClusterConfig& config) {
   JobSpec job;
-  job.plan = plan::Planner::Lower(query);
+  job.query = query;
   job.sources = &workload;
   job.cluster = config;
   job.config = JobConfig(config);

@@ -256,25 +256,23 @@ struct MultiRunStats {
 
 /// A System under Test.
 ///
-/// The primary entry point is job-oriented: Run(JobSpec) compiles the
-/// job's logical plan through the operator registry and executes it. The
-/// positional (query, workload, config) overload is a compatibility shim
-/// that lowers the query into a plan and builds the equivalent JobSpec —
-/// byte-identical results (asserted by tests/plan_test.cc). Derived
-/// classes implement the JobSpec overload and pull the shim into scope
-/// with `using Engine::Run;`.
+/// The primary entry point is job-oriented: Run(JobSpec) executes the
+/// job's query. The positional (query, workload, config) overload is a
+/// compatibility shim that builds the equivalent JobSpec — byte-identical
+/// results (asserted by tests/job_test.cc). Derived classes implement the
+/// JobSpec overload and pull the shim into scope with `using Engine::Run;`.
 class Engine {
  public:
   virtual ~Engine() = default;
 
   virtual std::string_view name() const = 0;
 
-  /// Executes one job: compiles job.plan and runs it over job.sources on
-  /// the cluster described by job.cluster + job.config.
+  /// Executes one job: runs job.query over job.sources on the cluster
+  /// described by job.cluster + job.config.
   virtual RunStats Run(const JobSpec& job) = 0;
 
-  /// Single-query convenience shim: lowers `query` (plan::Planner::Lower)
-  /// into the equivalent JobSpec with an empty tenant and no quota.
+  /// Single-query convenience shim: wraps `query` in the equivalent
+  /// JobSpec with an empty tenant and no quota.
   RunStats Run(const core::QuerySpec& query,
                const workloads::Workload& workload,
                const ClusterConfig& config);

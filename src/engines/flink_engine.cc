@@ -946,15 +946,14 @@ void BuildAttempt(FlinkRun* run, uint64_t round) {
 }  // namespace
 
 RunStats FlinkLikeEngine::Run(const JobSpec& job) {
-  core::QuerySpec query;
   ClusterConfig config;
-  if (Status prepared = PrepareJob(job, &query, &config); !prepared.ok()) {
+  if (Status prepared = PrepareJob(job, &config); !prepared.ok()) {
     RunStats stats;
     stats.engine = std::string(name());
     stats.status = prepared;
     return stats;
   }
-  return RunQuery(query, *job.sources, config);
+  return RunQuery(job.query, *job.sources, config);
 }
 
 RunStats FlinkLikeEngine::RunQuery(const core::QuerySpec& query,

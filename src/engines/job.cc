@@ -22,15 +22,10 @@ ClusterConfig EffectiveConfig(const ClusterConfig& cluster,
   return out;
 }
 
-Status PrepareJob(const JobSpec& job, core::QuerySpec* query,
-                  ClusterConfig* config, core::SourceFactory* sources) {
+Status PrepareJob(const JobSpec& job, ClusterConfig* config,
+                  core::SourceFactory* sources) {
   if (job.sources == nullptr) {
     return Status::InvalidArgument("JobSpec has no workload (sources)");
-  }
-  if (Status compiled =
-          plan::Compile(job.plan, plan::OperatorRegistry::Default(), query);
-      !compiled.ok()) {
-    return compiled;
   }
   *config = EffectiveConfig(job.cluster, job.config);
   if (sources != nullptr) {
@@ -44,7 +39,7 @@ JobSpec MakeJobSpec(std::string tenant, const workloads::Workload& workload,
                     uint32_t quota) {
   JobSpec job;
   job.tenant = std::move(tenant);
-  job.plan = plan::Planner::Lower(workload.MakeQuery());
+  job.query = workload.MakeQuery();
   job.sources = &workload;
   job.quota = quota;
   job.cluster = cluster;

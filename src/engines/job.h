@@ -1,8 +1,8 @@
 // The job model (DESIGN.md §12): what one tenant submits to an engine.
 //
-// A JobSpec pairs a tenant name with a logical plan (src/plan/), the
-// workload supplying its sources, an optional NIC-credit quota, and the
-// split configuration:
+// A JobSpec pairs a tenant name with the query to run (core::QuerySpec),
+// the workload supplying its sources, an optional NIC-credit quota, and
+// the split configuration:
 //
 //   * ClusterConfig — the simulated cluster itself: topology, CPU clock,
 //     NIC/socket models, connection scaling, fault plan, health detection.
@@ -33,8 +33,6 @@
 #include "health/health.h"
 #include "obs/trace.h"
 #include "perf/cost_model.h"
-#include "plan/plan.h"
-#include "plan/registry.h"
 #include "rdma/fabric.h"
 #include "rdma/socket_transport.h"
 #include "sim/fault.h"
@@ -234,10 +232,8 @@ struct JobSpec {
   /// runs require unique non-empty tenants.
   std::string tenant;
 
-  /// The logical plan to execute (author directly or lower a QuerySpec via
-  /// plan::Planner::Lower). Compiled through the default OperatorRegistry
-  /// at submission.
-  plan::LogicalPlan plan;
+  /// The query to execute, as the engines' RecordPipeline interprets it.
+  core::QuerySpec query;
 
   /// Supplies the job's record generators and wire sizes. Not owned; must
   /// outlive the run.
@@ -257,15 +253,13 @@ struct JobSpec {
   JobConfig config;
 };
 
-/// Compiles and validates `job` into what the engine loops consume: the
-/// flat query (plan -> registry -> QuerySpec), the combined effective
-/// config, and (when `sources` is non-null) the bound source factory.
-/// Fails on a null workload, an invalid plan, or an unregistered node kind.
-Status PrepareJob(const JobSpec& job, core::QuerySpec* query,
-                  ClusterConfig* config,
+/// Checks `job` and derives what the engine loops consume: the combined
+/// effective config and (when `sources` is non-null) the bound source
+/// factory. Fails on a null workload.
+Status PrepareJob(const JobSpec& job, ClusterConfig* config,
                   core::SourceFactory* sources = nullptr);
 
-/// Convenience builder for the common case: lower `workload`'s query.
+/// Convenience builder for the common case: run `workload`'s own query.
 JobSpec MakeJobSpec(std::string tenant, const workloads::Workload& workload,
                     const ClusterConfig& cluster, const JobConfig& config,
                     uint32_t quota = 0);

@@ -1875,9 +1875,8 @@ RunStats SlashEngine::Run(const JobSpec& job) {
   RunStats stats;
   stats.engine = std::string(name());
 
-  core::QuerySpec query;
   ClusterConfig config;
-  if (Status prepared = PrepareJob(job, &query, &config); !prepared.ok()) {
+  if (Status prepared = PrepareJob(job, &config); !prepared.ok()) {
     stats.status = prepared;
     return stats;
   }
@@ -1885,7 +1884,7 @@ RunStats SlashEngine::Run(const JobSpec& job) {
   sim::Simulator sim;
   SlashRun run;
   run.sim = &sim;
-  run.query = &query;
+  run.query = &job.query;
   run.workload = job.sources;
   run.config = config;
   run.tenant = job.tenant;
@@ -2064,14 +2063,13 @@ MultiRunStats SlashEngine::RunJobs(const std::vector<JobSpec>& jobs,
     }
   }
 
-  // Compile every plan and overlay each job's knobs on the SHARED cluster
-  // description: one fabric, one node set — job.cluster is ignored here.
-  std::vector<core::QuerySpec> queries(jobs.size());
+  // Overlay each job's knobs on the SHARED cluster description: one
+  // fabric, one node set — job.cluster is ignored here.
   std::vector<ClusterConfig> configs(jobs.size());
   for (size_t j = 0; j < jobs.size(); ++j) {
     JobSpec on_cluster = jobs[j];
     on_cluster.cluster = cluster;
-    if (Status prepared = PrepareJob(on_cluster, &queries[j], &configs[j]);
+    if (Status prepared = PrepareJob(on_cluster, &configs[j]);
         !prepared.ok()) {
       multi.status = prepared;
       multi.cluster.status = multi.status;
@@ -2098,7 +2096,7 @@ MultiRunStats SlashEngine::RunJobs(const std::vector<JobSpec>& jobs,
   for (size_t j = 0; j < jobs.size(); ++j) {
     auto run = std::make_unique<SlashRun>();
     run->sim = &sim;
-    run->query = &queries[j];
+    run->query = &jobs[j].query;
     run->workload = jobs[j].sources;
     run->config = configs[j];
     run->tenant = jobs[j].tenant;

@@ -313,15 +313,14 @@ sim::Task Receiver(UpParRun* run, ConsumerState* c) {
 }  // namespace
 
 RunStats UpParEngine::Run(const JobSpec& job) {
-  core::QuerySpec query;
   ClusterConfig config;
-  if (Status prepared = PrepareJob(job, &query, &config); !prepared.ok()) {
+  if (Status prepared = PrepareJob(job, &config); !prepared.ok()) {
     RunStats stats;
     stats.engine = std::string(name());
     stats.status = prepared;
     return stats;
   }
-  return RunQuery(query, *job.sources, config);
+  return RunQuery(job.query, *job.sources, config);
 }
 
 RunStats UpParEngine::RunQuery(const core::QuerySpec& query,

@@ -25,16 +25,16 @@ LogStructuredStore::LogStructuredStore(uint64_t initial_capacity)
 }
 
 uint8_t* LogStructuredStore::At(uint64_t addr) {
-  SLASH_CHECK_MSG(addr >= head_ && addr < tail_,
+  SLASH_CHECK_MSG(addr >= head_ && addr < tail(),
                   "address " << addr << " outside live range [" << head_
-                             << ", " << tail_ << ")");
+                             << ", " << tail() << ")");
   return data_.get() + Physical(addr);
 }
 
 const uint8_t* LogStructuredStore::At(uint64_t addr) const {
-  SLASH_CHECK_MSG(addr >= head_ && addr < tail_,
+  SLASH_CHECK_MSG(addr >= head_ && addr < tail(),
                   "address " << addr << " outside live range [" << head_
-                             << ", " << tail_ << ")");
+                             << ", " << tail() << ")");
   return data_.get() + Physical(addr);
 }
 
@@ -46,15 +46,15 @@ uint64_t LogStructuredStore::Allocate(uint32_t size) {
 
   // Avoid straddling the wrap point: if the allocation would cross a lap
   // boundary, pad with a filler entry and start at the next lap.
-  uint64_t addr = tail_;
+  uint64_t addr = tail();
   const uint64_t lap_remaining = capacity_ - Physical(addr);
   if (need > lap_remaining) {
     // The filler needs a header to stay scannable; if not even a header
     // fits, the remaining bytes become anonymous padding that ForEachEntry
     // cannot step over — so we always require header-sized laps. Grow first
     // if the padded allocation would overflow the live window.
-    if (tail_ + lap_remaining + need - head_ > capacity_) {
-      Grow(tail_ + lap_remaining + need - head_);
+    if (addr + lap_remaining + need - head_ > capacity_) {
+      Grow(addr + lap_remaining + need - head_);
       return Allocate(size);
     }
     // All allocations are 32-byte aligned and headers are 32 bytes, so the
@@ -66,15 +66,15 @@ uint64_t LogStructuredStore::Allocate(uint32_t size) {
     filler->flags = kEntryFiller;
     filler->value_len =
         static_cast<uint32_t>(lap_remaining - sizeof(EntryHeader));
-    tail_ += lap_remaining;
-    addr = tail_;
+    addr += lap_remaining;
+    tail_.store(addr, std::memory_order_release);
   }
 
-  if (tail_ + need - head_ > capacity_) {
-    Grow(tail_ + need - head_);
+  if (addr + need - head_ > capacity_) {
+    Grow(addr + need - head_);
     return Allocate(size);
   }
-  tail_ += need;
+  tail_.store(addr + need, std::memory_order_release);
   return addr;
 }
 
@@ -83,9 +83,10 @@ void LogStructuredStore::Grow(uint64_t needed_capacity) {
   while (new_capacity < needed_capacity) new_capacity *= 2;
   auto new_data = std::make_unique_for_overwrite<uint8_t[]>(new_capacity);
   // Re-place every live byte at its logical address modulo the new capacity.
-  for (uint64_t addr = head_; addr < tail_;) {
+  const uint64_t live_end = tail();
+  for (uint64_t addr = head_; addr < live_end;) {
     const uint64_t old_lap_end = addr - Physical(addr) + capacity_;
-    const uint64_t chunk_end = std::min(tail_, old_lap_end);
+    const uint64_t chunk_end = std::min(live_end, old_lap_end);
     uint64_t src = Physical(addr);
     uint64_t pos = addr;
     while (pos < chunk_end) {
@@ -105,13 +106,13 @@ void LogStructuredStore::Grow(uint64_t needed_capacity) {
 
 void LogStructuredStore::MarkReadOnlyUpTo(uint64_t addr) {
   SLASH_CHECK_GE(addr, read_only_);
-  SLASH_CHECK_LE(addr, tail_);
+  SLASH_CHECK_LE(addr, tail());
   read_only_ = addr;
 }
 
 void LogStructuredStore::TruncateTo(uint64_t addr) {
   SLASH_CHECK_GE(addr, head_);
-  SLASH_CHECK_LE(addr, tail_);
+  SLASH_CHECK_LE(addr, tail());
   head_ = addr;
   if (read_only_ < head_) read_only_ = head_;
 }
@@ -120,7 +121,7 @@ void LogStructuredStore::ForEachEntry(
     uint64_t from, uint64_t to,
     const std::function<void(uint64_t, const EntryHeader&)>& fn) const {
   SLASH_CHECK_GE(from, head_);
-  SLASH_CHECK_LE(to, tail_);
+  SLASH_CHECK_LE(to, tail());
   uint64_t addr = from;
   while (addr < to) {
     const auto* header = HeaderAt(addr);

@@ -29,6 +29,7 @@
 #ifndef SLASH_STATE_LOG_STORE_H_
 #define SLASH_STATE_LOG_STORE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -60,10 +61,13 @@ static_assert(sizeof(EntryHeader) == 32, "EntryHeader must stay 32 bytes");
 
 /// The log-structured store.
 ///
-/// Thread-safety: Allocate is lock-free (atomic tail bump) and entry values
-/// may be concurrently mutated through atomic_ref by the partition layer;
-/// resizing and scans require external quiescence (Slash performs them at
-/// epoch boundaries, where the coherence protocol guarantees it).
+/// Thread-safety: callers serialise Allocate (Partition holds its
+/// allocation lock), which publishes the new tail with a release store;
+/// At() and Mutable() may run concurrently with it and read the tail with
+/// an acquire load. Entry values may be concurrently mutated through
+/// atomic_ref by the partition layer; resizing and scans require external
+/// quiescence (Slash performs them at epoch boundaries, where the coherence
+/// protocol guarantees it).
 class LogStructuredStore {
  public:
   static constexpr uint64_t kInvalidAddress = ~0ULL;
@@ -95,11 +99,11 @@ class LogStructuredStore {
   /// First live logical address.
   uint64_t head() const { return head_; }
   /// Next append address (== end of live data).
-  uint64_t tail() const { return tail_; }
+  uint64_t tail() const { return tail_.load(std::memory_order_acquire); }
   /// Read-only boundary: addresses below it must not be CPU-mutated.
   uint64_t read_only_boundary() const { return read_only_; }
   uint64_t capacity() const { return capacity_; }
-  uint64_t live_bytes() const { return tail_ - head_; }
+  uint64_t live_bytes() const { return tail() - head_; }
   uint64_t resize_count() const { return resize_count_; }
 
   /// Marks [head, addr) read-only prior to an RDMA transfer, preventing
@@ -108,7 +112,7 @@ class LogStructuredStore {
 
   /// True iff `addr` may be mutated in place.
   bool Mutable(uint64_t addr) const {
-    return addr >= read_only_ && addr < tail_;
+    return addr >= read_only_ && addr < tail();
   }
 
   /// Invalidates everything below `addr` after a transfer (step 4).
@@ -127,7 +131,7 @@ class LogStructuredStore {
   std::unique_ptr<uint8_t[]> data_;
   uint64_t capacity_;
   uint64_t head_ = 0;
-  uint64_t tail_ = 0;
+  std::atomic<uint64_t> tail_{0};
   uint64_t read_only_ = 0;
   uint64_t resize_count_ = 0;
 };

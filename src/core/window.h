@@ -2,8 +2,9 @@
 //
 // Slash executes windowed operators as a window assigner (which maps a
 // record's timestamp to a bucket or slice and updates it in the SSB) plus a
-// window trigger (which emits a window's contents once the vector clock
-// proves no earlier record can arrive; property P1).
+// window trigger (which emits a window's contents once the minimum over the
+// per-channel low watermarks proves no earlier record can arrive; property
+// P1).
 //
 // Supported window types:
 //  * Tumbling event-time windows (YSB, CM, NB7, NB8): bucket = ts / size.
@@ -18,10 +19,16 @@
 #define SLASH_CORE_WINDOW_H_
 
 #include <cstdint>
+#include <limits>
 
 #include "common/logging.h"
 
 namespace slash::core {
+
+/// Sentinel low watermark meaning "stream exhausted".
+inline constexpr int64_t kWatermarkMax = std::numeric_limits<int64_t>::max();
+/// Initial low watermark: nothing processed yet.
+inline constexpr int64_t kWatermarkMin = std::numeric_limits<int64_t>::min();
 
 /// Window shape of a stateful operator.
 struct WindowSpec {

@@ -1,6 +1,8 @@
 #include "engines/engine.h"
 
 #include <algorithm>
+#include <chrono>
+#include <utility>
 
 #include "common/logging.h"
 
@@ -175,6 +177,188 @@ void BlobReader::Raw(void* dst, size_t len) {
   SLASH_CHECK_LE(pos_ + len, len_);
   std::memcpy(dst, data_ + pos_, len);
   pos_ += len;
+}
+
+namespace {
+
+/// Runs the simulator to completion under host wall-clock timing, publishes
+/// the makespan and the DES-kernel instruments into `registry`, and reports
+/// the host-side event rate through `events_per_sec_wall` (the one number
+/// that may differ between same-seed runs, so it stays out of the
+/// registry).
+void TimedSimRun(sim::Simulator* sim, obs::MetricsRegistry* registry,
+                 double* events_per_sec_wall) {
+  const auto start = std::chrono::steady_clock::now();
+  const Nanos makespan = sim->Run();
+  const double secs =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
+  *events_per_sec_wall = secs > 0 ? double(sim->events_fired()) / secs : 0.0;
+  registry->GetCounter(obs::metric::kRunMakespanNs)
+      ->Add(uint64_t(makespan));
+  registry->GetCounter(obs::metric::kSimEventsFired)
+      ->Add(sim->events_fired());
+  registry->GetCounter(obs::metric::kSimEventBytes)
+      ->Add(sim->event_bytes_allocated());
+  registry->GetGauge(obs::metric::kSimPoolHitRate)->Set(sim->pool_hit_rate());
+}
+
+}  // namespace
+
+RunStats RejectedRun(std::string_view engine, Status status) {
+  RunStats stats;
+  stats.engine = std::string(engine);
+  stats.status = std::move(status);
+  return stats;
+}
+
+Status AdmitJob(const EngineSupport& supports, const JobSpec& job,
+                const ClusterConfig& cluster, ClusterConfig* config) {
+  JobSpec on_cluster = job;
+  on_cluster.cluster = cluster;
+  if (Status prepared = PrepareJob(on_cluster, config); !prepared.ok()) {
+    return prepared;
+  }
+  if (!supports.joins && job.query.is_join()) {
+    return Status::InvalidArgument(
+        "join operators are not supported by this engine (paper Sec. "
+        "8.2.4)");
+  }
+  if (!supports.multi_node && config->nodes != 1) {
+    return Status::InvalidArgument(
+        "this engine is single-node: nodes must be 1, not " +
+        std::to_string(config->nodes));
+  }
+  if (config->workers_per_node < supports.min_workers) {
+    return Status::InvalidArgument(
+        "this engine needs workers_per_node >= " +
+        std::to_string(supports.min_workers) +
+        " (re-partitioning engines run at least one sender and one receiver "
+        "per node)");
+  }
+  if (!supports.health && config->health.enabled) {
+    return Status::Unimplemented(
+        "health monitoring requires the Slash engine's quarantine/recovery "
+        "path");
+  }
+  if (!supports.reconfig && config->reconfig != nullptr) {
+    return Status::Unimplemented(
+        "elastic reconfiguration requires the Slash engine's handoff path");
+  }
+  const bool faults =
+      config->fault_plan != nullptr && !config->fault_plan->empty();
+  if (!supports.faults && faults) {
+    return Status::Unimplemented(
+        "fault injection requires a fabric for the faults to hit");
+  }
+  if (!supports.checkpointing && config->checkpoint.enabled) {
+    return Status::Unimplemented(
+        "checkpointing requires the Slash or Flink-like recovery path");
+  }
+  if (!supports.rdma_ingestion && config->rdma_ingestion) {
+    return Status::Unimplemented(
+        "RDMA ingestion requires the Slash engine's generator nodes");
+  }
+  if (!supports.quota && job.quota > 0) {
+    return Status::Unimplemented(
+        "NIC-credit quotas require the Slash engine's channel accounting");
+  }
+  if (faults) {
+    const int fabric_nodes =
+        config->rdma_ingestion ? 2 * config->nodes : config->nodes;
+    return config->fault_plan->Validate(fabric_nodes);
+  }
+  return Status::OK();
+}
+
+RunScaffold::RunScaffold(std::string_view engine, const ClusterConfig& config,
+                         int fabric_nodes)
+    : engine_(engine),
+      external_(config.tracer),
+      local_(obs::Tracer::Options{
+          .capacity = 1 << 16,
+          .enabled = config.tracer == nullptr &&
+                     obs::Exporter::TraceDir() != nullptr}) {
+  // The injector must be registered before the fabric is built so the
+  // fabric attaches itself as the fault target at construction.
+  if (config.fault_plan != nullptr && !config.fault_plan->empty()) {
+    injector_ = std::make_unique<sim::FaultInjector>(&sim_, *config.fault_plan);
+    sim_.set_fault_injector(injector_.get());
+  }
+
+  // Register the observability plane before building the fabric so the
+  // per-node NIC counters and channel handles wire themselves up. The
+  // tracer is null when disabled, so every trace point downstream is one
+  // branch.
+  sim_.set_metrics(&registry_);
+  obs::Tracer* t = tracer();
+  sim_.set_tracer(t->enabled() ? t : nullptr);
+  if (t->enabled()) {
+    // One process per node, the conventional tracks per process.
+    for (int n = 0; n < std::max(fabric_nodes, 1); ++n) {
+      t->SetProcessName(n, "node" + std::to_string(n));
+      t->SetTrackName(n, obs::kTrackEngine, "engine");
+      t->SetTrackName(n, obs::kTrackChannel, "channel");
+      t->SetTrackName(n, obs::kTrackRecovery, "recovery");
+      t->SetTrackName(n, obs::kTrackHealth, "health");
+      t->SetTrackName(n, obs::kTrackElastic, "elastic");
+    }
+  }
+
+  if (fabric_nodes > 0) {
+    rdma::FabricConfig fabric_config;
+    fabric_config.nodes = fabric_nodes;
+    fabric_config.nic = config.nic;
+    fabric_config.connection = config.connection;
+    fabric_ = std::make_unique<rdma::Fabric>(&sim_, fabric_config);
+  }
+}
+
+RunStats RunScaffold::Simulate(const std::function<Status()>& outcome) {
+  RunStats stats;
+  stats.engine = engine_;
+  TimedSimRun(&sim_, &registry_, &stats.sim_events_per_sec_wall);
+  stats.status = outcome();
+  SLASH_CHECK_MSG(!stats.ok() || sim_.pending_tasks() == 0,
+                  engine_ << " run deadlocked with " << sim_.pending_tasks()
+                          << " pending tasks");
+  return stats;
+}
+
+void RunScaffold::PublishJob(const obs::LabelSet& labels, uint64_t records_in,
+                             const std::vector<const core::ResultSink*>& sinks,
+                             RunStats* stats) {
+  if (injector_ != nullptr) {
+    registry_.GetCounter(obs::metric::kFaultsInjected, labels)
+        ->Add(injector_->trace().size());
+    registry_.GetCounter(obs::metric::kFaultTraceDigest, labels)
+        ->Add(injector_->trace_digest());
+  }
+  registry_.GetCounter(obs::metric::kRecordsIn, labels)->Add(records_in);
+  obs::Counter* emitted =
+      registry_.GetCounter(obs::metric::kRecordsEmitted, labels);
+  obs::Counter* checksum =
+      registry_.GetCounter(obs::metric::kResultChecksum, labels);
+  for (const core::ResultSink* sink : sinks) {
+    emitted->Add(sink->count());
+    checksum->Add(sink->checksum());
+    stats->rows.insert(stats->rows.end(), sink->rows().begin(),
+                       sink->rows().end());
+  }
+}
+
+void RunScaffold::Finish(RunStats* stats) {
+  if (fabric_ != nullptr) {
+    if (const auto& pool = fabric_->buffer_pool();
+        pool.hits() + pool.misses() > 0) {
+      registry_.GetGauge(obs::metric::kBufferPoolHitRate)
+          ->Set(pool.hit_rate());
+    }
+  }
+  stats->metrics = registry_.Snapshot();
+  if (external_ == nullptr && local_.enabled()) {
+    obs::Exporter::WriteRunArtifacts(local_, stats->metrics, stats->engine);
+  }
 }
 
 }  // namespace slash::engines

@@ -10,15 +10,17 @@
 //   * LightSaberEngine  — scale-up single-node late merge (COST yardstick)
 //
 // An Engine::Run executes one query over one workload on a simulated
-// cluster and reports throughput (records per second of virtual time),
+// cluster, through the run scaffold every engine shares (RunScaffold), and
+// reports throughput (records per second of virtual time),
 // result digests for correctness checks, network volume, per-role
 // top-down counters, and buffer-latency histograms.
 #ifndef SLASH_ENGINES_ENGINE_H_
 #define SLASH_ENGINES_ENGINE_H_
 
-#include <chrono>
 #include <cstring>
+#include <functional>
 #include <map>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -259,8 +261,24 @@ struct MultiRunStats {
 /// The primary entry point is job-oriented: Run(JobSpec) executes the
 /// job's query. The positional (query, workload, config) overload is a
 /// compatibility shim that builds the equivalent JobSpec — byte-identical
-/// results (asserted by tests/job_test.cc). Derived classes implement the
-/// JobSpec overload and pull the shim into scope with `using Engine::Run;`.
+/// results (asserted by tests/job_test.cc). Derived classes implement only
+/// the JobSpec overload, through the shared RunScaffold below, and pull the
+/// shim into scope with `using Engine::Run;`.
+///
+/// Each engine declares what it implements in one EngineSupport constant;
+/// anything else is a Status before the run is built (DESIGN.md §12.1):
+///
+///   setting              Slash  UpPar  Flink  LightSaber
+///   fault_plan           yes    yes    yes    no (it has no fabric)
+///   checkpoint.enabled   yes    no     yes    no
+///   health, reconfig,
+///   rdma_ingestion,
+///   quota > 0            yes    no     no     no
+///   join query           yes    yes    yes    no (kInvalidArgument)
+///   nodes != 1           yes    yes    yes    no (kInvalidArgument)
+///   workers_per_node     >= 1   >= 2   >= 2   >= 1 (kInvalidArgument)
+///
+/// "no" is kUnimplemented unless noted.
 class Engine {
  public:
   virtual ~Engine() = default;
@@ -442,84 +460,91 @@ class BlobReader {
   size_t pos_ = 0;
 };
 
-/// Runs the simulator to completion under host wall-clock timing, publishes
-/// the makespan and the DES-kernel instruments into `registry`, and reports
-/// the host-side event rate through `events_per_sec_wall` (the one number
-/// that may differ between same-seed runs, so it stays out of the
-/// registry). Returns the virtual-time makespan, so engines use it as a
-/// drop-in for `sim->Run()`.
-inline Nanos TimedSimRun(sim::Simulator* sim, obs::MetricsRegistry* registry,
-                         double* events_per_sec_wall) {
-  const auto start = std::chrono::steady_clock::now();
-  const Nanos makespan = sim->Run();
-  const double secs =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  *events_per_sec_wall = secs > 0 ? double(sim->events_fired()) / secs : 0.0;
-  registry->GetCounter(obs::metric::kRunMakespanNs)
-      ->Add(uint64_t(makespan));
-  registry->GetCounter(obs::metric::kSimEventsFired)
-      ->Add(sim->events_fired());
-  registry->GetCounter(obs::metric::kSimEventBytes)
-      ->Add(sim->event_bytes_allocated());
-  registry->GetGauge(obs::metric::kSimPoolHitRate)->Set(sim->pool_hit_rate());
-  return makespan;
-}
+// ---------------------------------------------------------------------------
+// The run scaffold (DESIGN.md §12.1)
+// ---------------------------------------------------------------------------
 
-/// The per-run observability plane every engine sets up at the top of
-/// Run(): a fresh registry plus the tracer policy described at
-/// ClusterConfig::tracer. Construct BEFORE the fabric, call Register() on
-/// the run's simulator, and Finish() after the epilogue has published its
-/// instruments.
-class RunTelemetry {
+/// What one engine implements. The scaffold rejects every setting an
+/// engine does not support with a Status before anything is built, so no
+/// engine silently ignores a knob or aborts on one.
+struct EngineSupport {
+  bool faults = false;          // a non-empty ClusterConfig::fault_plan
+  bool health = false;          // ClusterConfig::health.enabled
+  bool reconfig = false;        // a ClusterConfig::reconfig plan
+  bool checkpointing = false;   // checkpoint.enabled
+  bool rdma_ingestion = false;  // rdma_ingestion
+  bool quota = false;           // JobSpec::quota > 0
+  bool joins = false;           // a join query
+  bool multi_node = false;      // nodes != 1
+  int min_workers = 1;          // lower bound on workers_per_node
+};
+
+/// A run rejected before anything was built: `status` set, no instruments.
+RunStats RejectedRun(std::string_view engine, Status status);
+
+/// Scaffold step 1: binds `job` to `cluster` (PrepareJob with job.cluster
+/// replaced by `cluster`, into `*config`), checks it against `supports`,
+/// and validates the fault plan against the fabric the job needs (one node
+/// per executor, doubled under rdma_ingestion). A malformed setting is a
+/// configuration error reported here, never a mid-run surprise.
+Status AdmitJob(const EngineSupport& supports, const JobSpec& job,
+                const ClusterConfig& cluster, ClusterConfig* config);
+
+/// The per-run lifecycle every engine shares: one simulator, the
+/// observability plane (a fresh registry plus the tracer policy described
+/// at ClusterConfig::tracer), the fault injector and the fabric, then the
+/// timed run, the drain check and the common epilogue. An engine admits
+/// its job (AdmitJob), constructs the scaffold, builds its coroutines on
+/// sim()/fabric(), and then calls Simulate(), publishes its own
+/// instruments plus PublishJob(), and ends with Finish().
+class RunScaffold {
  public:
-  explicit RunTelemetry(const ClusterConfig& config)
-      : external_(config.tracer),
-        local_(obs::Tracer::Options{
-            .capacity = 1 << 16,
-            .enabled = config.tracer == nullptr &&
-                       obs::Exporter::TraceDir() != nullptr}) {}
+  /// Scaffold steps 2-4: installs an injector for config.fault_plan (which
+  /// AdmitJob validated), registers the telemetry plane on the simulator,
+  /// names the trace processes, and builds a fabric of `fabric_nodes`
+  /// nodes. `fabric_nodes == 0` is a single node with no network
+  /// (LightSaber): one trace process and no fabric.
+  RunScaffold(std::string_view engine, const ClusterConfig& config,
+              int fabric_nodes);
 
+  RunScaffold(const RunScaffold&) = delete;
+  RunScaffold& operator=(const RunScaffold&) = delete;
+
+  sim::Simulator* sim() { return &sim_; }
+  rdma::Fabric* fabric() { return fabric_.get(); }  // null without network
   obs::MetricsRegistry* registry() { return &registry_; }
   obs::Tracer* tracer() {
     return external_ != nullptr ? external_ : &local_;
   }
 
-  void Register(sim::Simulator* sim) {
-    sim->set_metrics(&registry_);
-    // Null when disabled, so every trace point downstream is one branch.
-    sim->set_tracer(tracer()->enabled() ? tracer() : nullptr);
-  }
+  /// Scaffold step 5a: runs the simulator to completion under host
+  /// wall-clock timing and returns the run's stats with `outcome()` (read
+  /// after the run) as its status. Only an aborted run may strand
+  /// coroutines mid-protocol; a completed one must drain every task.
+  RunStats Simulate(const std::function<Status()>& outcome);
 
-  /// Names the trace topology: one process per fabric node, the three
-  /// conventional tracks per process. No-op when tracing is disabled.
-  void NameNodes(int nodes) {
-    obs::Tracer* t = tracer();
-    if (!t->enabled()) return;
-    for (int n = 0; n < nodes; ++n) {
-      t->SetProcessName(n, "node" + std::to_string(n));
-      t->SetTrackName(n, obs::kTrackEngine, "engine");
-      t->SetTrackName(n, obs::kTrackChannel, "channel");
-      t->SetTrackName(n, obs::kTrackRecovery, "recovery");
-      t->SetTrackName(n, obs::kTrackHealth, "health");
-      t->SetTrackName(n, obs::kTrackElastic, "elastic");
-    }
-  }
+  /// Scaffold step 5b, once per job: publishes the fault counters (when an
+  /// injector is installed), the job's `records_in`, and its sinks' result
+  /// count and checksum under `labels`, and appends the sinks' kept rows to
+  /// `stats->rows` in sink order.
+  void PublishJob(const obs::LabelSet& labels, uint64_t records_in,
+                  const std::vector<const core::ResultSink*>& sinks,
+                  RunStats* stats);
 
-  /// Snapshots the registry into `stats` and, for the internal
-  /// SLASH_TRACE-enabled tracer, writes the per-run trace + snapshot files.
-  void Finish(RunStats* stats) {
-    stats->metrics = registry_.Snapshot();
-    if (external_ == nullptr && local_.enabled()) {
-      obs::Exporter::WriteRunArtifacts(local_, stats->metrics,
-                                       stats->engine);
-    }
-  }
+  /// Scaffold step 5c: publishes the fabric's buffer-pool hit rate (when
+  /// the pool was used), snapshots the registry into `stats`, and for the
+  /// internal SLASH_TRACE-enabled tracer writes the per-run trace and
+  /// snapshot files.
+  void Finish(RunStats* stats);
 
  private:
+  std::string engine_;
   obs::MetricsRegistry registry_;
   obs::Tracer* external_;
   obs::Tracer local_;
+  sim::Simulator sim_;
+  std::unique_ptr<sim::FaultInjector> injector_;
+  std::unique_ptr<rdma::Fabric> fabric_;
 };
 
 }  // namespace slash::engines

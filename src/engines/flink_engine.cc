@@ -22,6 +22,16 @@ using core::Record;
 using perf::Op;
 using rdma::SocketConnection;
 
+// Queue-based re-partitioning over sockets with barrier-aligned
+// checkpoints and crash recovery; no health detection or reconfiguration,
+// no RDMA ingestion and no NIC quota. At least one sender and one receiver
+// thread per node.
+constexpr EngineSupport kFlinkSupport{.faults = true,
+                                      .checkpointing = true,
+                                      .joins = true,
+                                      .multi_node = true,
+                                      .min_workers = 2};
+
 // Recovery takes virtual time: a socket (re-)connect pays a TCP-style
 // handshake, and restored snapshot bytes stream back into memory.
 constexpr Nanos kSocketSetupCost = 30 * kMicrosecond;
@@ -118,9 +128,8 @@ struct FlinkRun {
   const core::QuerySpec* query;
   const workloads::Workload* workload;
   ClusterConfig config;
-  sim::Simulator sim;
-  std::unique_ptr<sim::FaultInjector> injector;
-  std::unique_ptr<rdma::Fabric> fabric;
+  sim::Simulator* sim = nullptr;
+  rdma::Fabric* fabric = nullptr;
   state::PartitionConfig pcfg;
 
   // Append-only across attempts; *_start marks the current attempt's slice.
@@ -234,7 +243,7 @@ sim::Task FlushLane(FlinkRun* run, SenderState* s, Outbound* ob,
 sim::Task SendBarrier(FlinkRun* run, SenderState* s, Outbound* ob,
                       uint64_t round, int64_t watermark) {
   if (run->tracer != nullptr) {
-    run->tracer->Instant(run->sim.now(), run->trace_barrier, run->trace_cat,
+    run->tracer->Instant(run->sim->now(), run->trace_barrier, run->trace_cat,
                          s->node, obs::kTrackEngine);
   }
   if (ob->staging.empty()) OpenLane(run, ob);
@@ -372,9 +381,9 @@ sim::Task Replicator(FlinkRun* run, int node, ReplState* repl,
       ++cursor;
       if (terminal) co_return;  // nothing further will be queued
     }
-    const Nanos wait_start = run->sim.now();
+    const Nanos wait_start = run->sim->now();
     co_await repl->event->Wait();
-    cpu->ChargeWait(run->sim.now() - wait_start);
+    cpu->ChargeWait(run->sim->now() - wait_start);
   }
 }
 
@@ -397,9 +406,9 @@ sim::Task ReplicaReceiver(FlinkRun* run, int target, SocketConnection* socket,
       if (terminal) break;
     }
     if (terminal) co_return;
-    const Nanos wait_start = run->sim.now();
+    const Nanos wait_start = run->sim->now();
     co_await socket->readable(target).Wait();
-    cpu->ChargeWait(run->sim.now() - wait_start);
+    cpu->ChargeWait(run->sim->now() - wait_start);
   }
 }
 
@@ -608,14 +617,14 @@ sim::Task Receiver(FlinkRun* run, ConsumerState* c) {
       TriggerWindows(*run->query, c->Watermark(), c->partition.get(),
                      &c->sink, cpu, &c->last_trigger_wm);
       if (run->tracer != nullptr && c->last_trigger_wm != before) {
-        run->tracer->Instant(run->sim.now(), run->trace_window, run->trace_cat,
+        run->tracer->Instant(run->sim->now(), run->trace_window, run->trace_cat,
                              c->node, obs::kTrackEngine);
       }
       co_await cpu->Sync();
     } else {
-      const Nanos wait_start = run->sim.now();
+      const Nanos wait_start = run->sim->now();
       co_await c->arrivals->Wait();
-      cpu->ChargeWait(run->sim.now() - wait_start);
+      cpu->ChargeWait(run->sim->now() - wait_start);
     }
   }
   if (halted()) co_return;
@@ -654,10 +663,10 @@ void OnNodeCrash(FlinkRun* run, int node) {
   run->recovering = true;
   ++run->recoveries;
   ++run->attempt;
-  run->recovery_start = run->sim.now();
+  run->recovery_start = run->sim->now();
   run->records_at_crash = run->records_in;
   if (run->tracer != nullptr) {
-    run->tracer->Begin(run->sim.now(), run->trace_recovery, run->trace_cat,
+    run->tracer->Begin(run->sim->now(), run->trace_recovery, run->trace_cat,
                        node, obs::kTrackRecovery);
   }
 
@@ -713,11 +722,11 @@ void OnNodeCrash(FlinkRun* run, int node) {
   new_sockets += uint64_t(live) * uint64_t(std::max(rf, 0));
   const Nanos delay = kSocketSetupCost * Nanos(new_sockets) +
                       Nanos(restore_bytes / kRestoreBytesPerNs);
-  run->sim.ScheduleAt(run->sim.now() + delay, [run, round, node] {
+  run->sim->ScheduleAt(run->sim->now() + delay, [run, round, node] {
     if (run->failed) return;
-    run->recovery_ns += run->sim.now() - run->recovery_start;
+    run->recovery_ns += run->sim->now() - run->recovery_start;
     if (run->tracer != nullptr) {
-      run->tracer->End(run->sim.now(), run->trace_recovery, run->trace_cat,
+      run->tracer->End(run->sim->now(), run->trace_recovery, run->trace_cat,
                        node, obs::kTrackRecovery);
     }
     BuildAttempt(run, round);
@@ -804,7 +813,7 @@ void BuildAttempt(FlinkRun* run, uint64_t round) {
     for (int n = 0; n < config.nodes; ++n) {
       if (!run->alive[n]) continue;
       auto rs = std::make_unique<ReplState>();
-      rs->event = std::make_unique<sim::Event>(&run->sim);
+      rs->event = std::make_unique<sim::Event>(run->sim);
       run->repl[n] = rs.get();
       run->repl_storage.push_back(std::move(rs));
     }
@@ -817,11 +826,11 @@ void BuildAttempt(FlinkRun* run, uint64_t round) {
     c->global_id = gid;
     c->node = run->consumer_node[gid];
     c->attempt = attempt;
-    c->cpu = std::make_unique<perf::CpuContext>(&run->sim, config.cost_model,
+    c->cpu = std::make_unique<perf::CpuContext>(run->sim, config.cost_model,
                                                 config.cpu_ghz);
     c->partition = std::make_unique<state::Partition>(gid, run->pcfg);
     c->sink = core::ResultSink(config.collect_rows);
-    c->arrivals = std::make_unique<sim::Event>(&run->sim);
+    c->arrivals = std::make_unique<sim::Event>(run->sim);
     c->rounds_complete = round;
     const auto rit = consumer_restore.find(gid);
     if (rit != consumer_restore.end()) {
@@ -850,7 +859,7 @@ void BuildAttempt(FlinkRun* run, uint64_t round) {
     s->node = run->sender_node[gid];
     s->attempt = attempt;
     s->next_barrier = round + 1;
-    s->cpu = std::make_unique<perf::CpuContext>(&run->sim, config.cost_model,
+    s->cpu = std::make_unique<perf::CpuContext>(run->sim, config.cost_model,
                                                 config.cpu_ghz);
     const int home = gid / run->senders_per_node;
     const int snd = gid % run->senders_per_node;
@@ -875,13 +884,13 @@ void BuildAttempt(FlinkRun* run, uint64_t round) {
       ConsumerState* c = run->consumers[consumer_base + size_t(cgid)].get();
       Outbound& ob = s->outbound[cgid];
       if (c->node == s->node) {
-        run->local_queues.push_back(std::make_unique<LocalQueue>(&run->sim));
+        run->local_queues.push_back(std::make_unique<LocalQueue>(run->sim));
         ob.local = run->local_queues.back().get();
         ob.local->AddObserver(c->arrivals.get());
         c->inbound.push_back({gid, /*socket=*/nullptr, ob.local, round});
       } else {
         auto socket = std::make_unique<SocketConnection>(
-            run->fabric.get(), s->node, c->node, config.socket);
+            run->fabric, s->node, c->node, config.socket);
         ob.socket = socket.get();
         socket->AddReadableObserver(c->node, c->arrivals.get());
         c->inbound.push_back({gid, socket.get(), /*local=*/nullptr, round});
@@ -905,14 +914,14 @@ void BuildAttempt(FlinkRun* run, uint64_t round) {
       for (int k = 1; k <= rf; ++k) {
         const int target = live_nodes[(i + size_t(k)) % live_nodes.size()];
         auto socket = std::make_unique<SocketConnection>(
-            run->fabric.get(), src, target, config.socket);
+            run->fabric, src, target, config.socket);
         auto send_cpu = std::make_unique<perf::CpuContext>(
-            &run->sim, config.cost_model, config.cpu_ghz);
+            run->sim, config.cost_model, config.cpu_ghz);
         auto recv_cpu = std::make_unique<perf::CpuContext>(
-            &run->sim, config.cost_model, config.cpu_ghz);
-        run->sim.Spawn(Replicator(run, src, run->repl[src], socket.get(),
+            run->sim, config.cost_model, config.cpu_ghz);
+        run->sim->Spawn(Replicator(run, src, run->repl[src], socket.get(),
                                   send_cpu.get(), attempt));
-        run->sim.Spawn(ReplicaReceiver(run, target, socket.get(),
+        run->sim->Spawn(ReplicaReceiver(run, target, socket.get(),
                                        recv_cpu.get(), attempt));
         run->repl_cpus.push_back(std::move(send_cpu));
         run->repl_cpus.push_back(std::move(recv_cpu));
@@ -935,11 +944,11 @@ void BuildAttempt(FlinkRun* run, uint64_t round) {
   }
 
   for (size_t i = run->attempt_sender_start; i < run->senders.size(); ++i) {
-    run->sim.Spawn(Sender(run, run->senders[i].get()));
+    run->sim->Spawn(Sender(run, run->senders[i].get()));
   }
   for (size_t i = run->attempt_consumer_start; i < run->consumers.size();
        ++i) {
-    run->sim.Spawn(Receiver(run, run->consumers[i].get()));
+    run->sim->Spawn(Receiver(run, run->consumers[i].get()));
   }
 }
 
@@ -947,65 +956,22 @@ void BuildAttempt(FlinkRun* run, uint64_t round) {
 
 RunStats FlinkLikeEngine::Run(const JobSpec& job) {
   ClusterConfig config;
-  if (Status prepared = PrepareJob(job, &config); !prepared.ok()) {
-    RunStats stats;
-    stats.engine = std::string(name());
-    stats.status = prepared;
-    return stats;
+  if (Status admitted = AdmitJob(kFlinkSupport, job, job.cluster, &config);
+      !admitted.ok()) {
+    return RejectedRun(name(), admitted);
   }
-  return RunQuery(job.query, *job.sources, config);
-}
+  RunScaffold scaffold(name(), config, config.nodes);
+  obs::MetricsRegistry* registry = scaffold.registry();
 
-RunStats FlinkLikeEngine::RunQuery(const core::QuerySpec& query,
-                                   const workloads::Workload& workload,
-                                   const ClusterConfig& config) {
-  SLASH_CHECK_MSG(config.workers_per_node >= 2,
-                  "re-partitioning engines need at least one sender and one "
-                  "receiver per node");
   FlinkRun run;
-  run.query = &query;
-  run.workload = &workload;
+  run.query = &job.query;
+  run.workload = job.sources;
   run.config = config;
+  run.sim = scaffold.sim();
+  run.fabric = scaffold.fabric();
   run.senders_per_node = config.workers_per_node / 2;
   run.receivers_per_node = config.workers_per_node - run.senders_per_node;
-
-  RunStats stats;
-  stats.engine = std::string(name());
-  if (config.health.enabled) {
-    stats.status = Status::Unimplemented(
-        "health monitoring requires the Slash engine's quarantine/recovery "
-        "path");
-    return stats;
-  }
-  if (config.reconfig != nullptr) {
-    stats.status = Status::Unimplemented(
-        "elastic reconfiguration requires the Slash engine's handoff path");
-    return stats;
-  }
-
-  RunTelemetry telemetry(config);
-  obs::MetricsRegistry* registry = telemetry.registry();
-
-  // The injector must be registered before the fabric is built so the
-  // fabric attaches itself as the fault target at construction. The plan is
-  // validated up front: a malformed plan is a configuration error, not a
-  // mid-run surprise.
-  if (config.fault_plan != nullptr && !config.fault_plan->empty()) {
-    const Status plan_status = config.fault_plan->Validate(config.nodes);
-    if (!plan_status.ok()) {
-      stats.status = plan_status;
-      return stats;
-    }
-    run.injector =
-        std::make_unique<sim::FaultInjector>(&run.sim, *config.fault_plan);
-    run.sim.set_fault_injector(run.injector.get());
-  }
-
-  // Telemetry is registered on the simulator before the fabric is built so
-  // the NICs resolve their per-node tx counters at construction.
-  telemetry.Register(&run.sim);
-  telemetry.NameNodes(config.nodes);
-  run.tracer = run.sim.tracer();
+  run.tracer = run.sim->tracer();
   if (run.tracer != nullptr) {
     run.trace_barrier = run.tracer->Intern("engine.barrier");
     run.trace_window = run.tracer->Intern("engine.window_fire");
@@ -1013,16 +979,11 @@ RunStats FlinkLikeEngine::RunQuery(const core::QuerySpec& query,
     run.trace_cat = run.tracer->Intern("flink");
   }
 
-  rdma::FabricConfig fabric_config;
-  fabric_config.nodes = config.nodes;
-  fabric_config.nic = config.nic;
-  fabric_config.connection = config.connection;
-  run.fabric = std::make_unique<rdma::Fabric>(&run.sim, fabric_config);
   run.fabric->SetNodeCrashHandler(
       [run_ptr = &run](int node) { OnNodeCrash(run_ptr, node); });
 
-  run.pcfg.kind = query.is_join() ? state::StateKind::kAppend
-                                  : state::StateKind::kAggregate;
+  run.pcfg.kind = job.query.is_join() ? state::StateKind::kAppend
+                                      : state::StateKind::kAggregate;
   run.pcfg.lss_capacity = config.state_lss_capacity;
   run.pcfg.index_buckets = config.state_index_buckets;
 
@@ -1041,24 +1002,8 @@ RunStats FlinkLikeEngine::RunQuery(const core::QuerySpec& query,
 
   BuildAttempt(&run, /*round=*/0);
 
-  TimedSimRun(&run.sim, registry, &stats.sim_events_per_sec_wall);
-  // An aborted run legitimately strands coroutines that were mid-exchange
-  // when their socket died; only a *completed* run must fully drain.
-  SLASH_CHECK_MSG(run.failed || run.sim.pending_tasks() == 0,
-                  "Flink-like run deadlocked with " << run.sim.pending_tasks()
-                                                    << " pending tasks");
-  stats.status = run.failed ? run.failure : Status::OK();
-  if (run.injector) {
-    registry->GetCounter(obs::metric::kFaultsInjected)
-        ->Add(run.injector->trace().size());
-    registry->GetCounter(obs::metric::kFaultTraceDigest)
-        ->Add(run.injector->trace_digest());
-  }
-  registry->GetCounter(obs::metric::kRecordsIn)->Add(run.records_in);
-  if (const auto& pool = run.fabric->buffer_pool();
-      pool.hits() + pool.misses() > 0) {
-    registry->GetGauge(obs::metric::kBufferPoolHitRate)->Set(pool.hit_rate());
-  }
+  RunStats stats = scaffold.Simulate(
+      [&run] { return run.failed ? run.failure : Status::OK(); });
   registry->GetCounter(obs::metric::kCheckpointBytesReplicated)
       ->Add(run.bytes_replicated);
   registry->GetCounter(obs::metric::kRecoveries)->Add(run.recoveries);
@@ -1068,16 +1013,9 @@ RunStats FlinkLikeEngine::RunQuery(const core::QuerySpec& query,
   // Results come from the surviving attempt's consumers only; CPU counters
   // accumulate across every attempt — a torn-down attempt still burned the
   // cycles.
-  obs::Counter* emitted = registry->GetCounter(obs::metric::kRecordsEmitted);
-  obs::Counter* checksum = registry->GetCounter(obs::metric::kResultChecksum);
+  std::vector<const core::ResultSink*> sinks;
   for (size_t i = run.attempt_consumer_start; i < run.consumers.size(); ++i) {
-    const ConsumerState* c = run.consumers[i].get();
-    emitted->Add(c->sink.count());
-    checksum->Add(c->sink.checksum());
-    if (config.collect_rows) {
-      const auto& rows = c->sink.rows();
-      stats.rows.insert(stats.rows.end(), rows.begin(), rows.end());
-    }
+    sinks.push_back(&run.consumers[i]->sink);
   }
   perf::Counters* senders =
       registry->GetCpu(obs::metric::kCpu, {{obs::kLabelRole, "sender"}});
@@ -1090,7 +1028,8 @@ RunStats FlinkLikeEngine::RunQuery(const core::QuerySpec& query,
         registry->GetCpu(obs::metric::kCpu, {{obs::kLabelRole, "replication"}});
     for (auto& cpu : run.repl_cpus) replication->Merge(cpu->counters());
   }
-  telemetry.Finish(&stats);
+  scaffold.PublishJob({}, run.records_in, sinks, &stats);
+  scaffold.Finish(&stats);
   return stats;
 }
 

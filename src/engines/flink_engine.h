@@ -22,11 +22,6 @@ class FlinkLikeEngine : public Engine {
   using Engine::Run;  // the (query, workload, config) compatibility shim
 
   RunStats Run(const JobSpec& job) override;
-
- private:
-  RunStats RunQuery(const core::QuerySpec& query,
-                    const workloads::Workload& workload,
-                    const ClusterConfig& config);
 };
 
 }  // namespace slash::engines

@@ -17,6 +17,13 @@
 // between the two, so the old single-job call sites keep compiling while
 // new multi-job call sites pass one ClusterConfig and N JobConfigs. The
 // migration note lives in DESIGN.md §12.
+//
+// Every engine implements Engine::Run(const JobSpec&) alone and admits the
+// job through AdmitJob (engines/engine.h): a setting the engine does not
+// support — a fault plan without a fabric, checkpointing, RDMA ingestion,
+// a quota, health detection, reconfiguration, a join, several nodes, too
+// few workers — comes back as a Status, never as a crash or a silently
+// ignored knob (capability table in DESIGN.md §12.1).
 #ifndef SLASH_ENGINES_JOB_H_
 #define SLASH_ENGINES_JOB_H_
 
@@ -104,6 +111,7 @@ struct ClusterConfig {
   /// the fault-free run), permanent ones abort the run cleanly with
   /// RunStats::status set — unless checkpointing is enabled, in which case
   /// a node crash is recovered and the run completes with correct results.
+  /// LightSaber has no fabric and rejects a plan with kUnimplemented.
   /// Not owned; must outlive the Run() call.
   const sim::FaultPlan* fault_plan = nullptr;
 
@@ -152,17 +160,19 @@ struct ClusterConfig {
   /// compiled/fused.
   core::ExecutionStrategy execution = core::ExecutionStrategy::kInterpreted;
 
-  /// Slash only: ingest streams over RDMA channels from dedicated source
-  /// nodes (the paper's Fig. 1 architecture — "data ingestion ... at full
-  /// RDMA network speed") instead of reading pre-generated data from local
-  /// memory (the evaluation methodology of Sec. 8.2.1). Doubles the
-  /// simulated node count: one generator node per executor node.
+  /// Slash only (other engines reject it with kUnimplemented): ingest
+  /// streams over RDMA channels from dedicated source nodes (the paper's
+  /// Fig. 1 architecture — "data ingestion ... at full RDMA network speed")
+  /// instead of reading pre-generated data from local memory (the
+  /// evaluation methodology of Sec. 8.2.1). Doubles the simulated node
+  /// count: one generator node per executor node.
   bool rdma_ingestion = false;
 
   /// Keep emitted result rows (tests); digests are always collected.
   bool collect_rows = false;
 
-  /// Checkpointing / crash recovery (Slash and Flink-like engines).
+  /// Checkpointing / crash recovery (Slash and Flink-like engines; the
+  /// others reject it with kUnimplemented).
   CheckpointConfig checkpoint;
 
   /// Optional caller-provided tracer (not owned; must outlive Run). When
@@ -242,7 +252,8 @@ struct JobSpec {
   /// Per-tenant NIC-credit quota: the maximum channel credits this job may
   /// hold in flight across ALL of its channels at once, enforced at
   /// TryAcquire by a channel::CreditQuota. 0 = unlimited (no quota object
-  /// is created, keeping the channel hot path byte-identical).
+  /// is created, keeping the channel hot path byte-identical). Slash only;
+  /// the other engines reject a quota with kUnimplemented.
   uint32_t quota = 0;
 
   /// The shared cluster (single-job path; RunJobs takes one cluster for

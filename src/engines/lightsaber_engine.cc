@@ -18,11 +18,16 @@ namespace {
 using core::Record;
 using perf::Op;
 
+// A single node with no network: no fabric, so no faults, no checkpoint
+// replication, no RDMA ingestion and no NIC quota; no joins, like the real
+// system.
+constexpr EngineSupport kLightSaberSupport{};
+
 struct LightSaberRun {
   const core::QuerySpec* query;
   const workloads::Workload* workload;
   ClusterConfig config;
-  sim::Simulator sim;
+  sim::Simulator* sim = nullptr;
   std::vector<std::unique_ptr<perf::CpuContext>> worker_cpus;
   std::vector<std::unique_ptr<state::Partition>> partials;  // per worker
   std::unique_ptr<state::Partition> merged;  // shared merge target
@@ -84,7 +89,7 @@ sim::Task Worker(LightSaberRun* run, int w) {
     TriggerWindows(*run->query, core::kWatermarkMax, run->merged.get(),
                    &run->sink, cpu, &run->last_trigger_wm);
     if (run->tracer != nullptr) {
-      run->tracer->Instant(run->sim.now(), run->trace_window, run->trace_cat,
+      run->tracer->Instant(run->sim->now(), run->trace_window, run->trace_cat,
                            /*pid=*/0, obs::kTrackEngine);
     }
     co_await cpu->Sync();
@@ -95,50 +100,19 @@ sim::Task Worker(LightSaberRun* run, int w) {
 
 RunStats LightSaberEngine::Run(const JobSpec& job) {
   ClusterConfig config;
-  if (Status prepared = PrepareJob(job, &config); !prepared.ok()) {
-    RunStats stats;
-    stats.engine = std::string(name());
-    stats.status = prepared;
-    return stats;
+  if (Status admitted = AdmitJob(kLightSaberSupport, job, job.cluster, &config);
+      !admitted.ok()) {
+    return RejectedRun(name(), admitted);
   }
-  return RunQuery(job.query, *job.sources, config);
-}
-
-RunStats LightSaberEngine::RunQuery(const core::QuerySpec& query,
-                                    const workloads::Workload& workload,
-                                    const ClusterConfig& config) {
-  SLASH_CHECK_MSG(!query.is_join(),
-                  "LightSaber does not support join operators "
-                  "(paper Sec. 8.2.4)");
-  SLASH_CHECK_MSG(config.nodes == 1, "LightSaber is a single-node engine");
-
-  if (config.health.enabled) {
-    RunStats stats;
-    stats.engine = std::string(name());
-    stats.status = Status::Unimplemented(
-        "health monitoring requires the Slash engine's quarantine/recovery "
-        "path");
-    return stats;
-  }
-  if (config.reconfig != nullptr) {
-    RunStats stats;
-    stats.engine = std::string(name());
-    stats.status = Status::Unimplemented(
-        "elastic reconfiguration requires the Slash engine's handoff path");
-    return stats;
-  }
+  RunScaffold scaffold(name(), config, /*fabric_nodes=*/0);
 
   LightSaberRun run;
-  run.query = &query;
-  run.workload = &workload;
+  run.query = &job.query;
+  run.workload = job.sources;
   run.config = config;
+  run.sim = scaffold.sim();
   run.sink = core::ResultSink(config.collect_rows);
-
-  RunTelemetry telemetry(config);
-  obs::MetricsRegistry* registry = telemetry.registry();
-  telemetry.Register(&run.sim);
-  telemetry.NameNodes(/*nodes=*/1);
-  run.tracer = run.sim.tracer();
+  run.tracer = run.sim->tracer();
   if (run.tracer != nullptr) {
     run.trace_window = run.tracer->Intern("engine.window_fire");
     run.trace_cat = run.tracer->Intern("lightsaber");
@@ -150,30 +124,21 @@ RunStats LightSaberEngine::RunQuery(const core::QuerySpec& query,
   pcfg.index_buckets = config.state_index_buckets;
   for (int w = 0; w < config.workers_per_node; ++w) {
     run.worker_cpus.push_back(std::make_unique<perf::CpuContext>(
-        &run.sim, config.cost_model, config.cpu_ghz));
+        run.sim, config.cost_model, config.cpu_ghz));
     run.partials.push_back(std::make_unique<state::Partition>(w, pcfg));
   }
   run.merged = std::make_unique<state::Partition>(-1, pcfg);
 
   for (int w = 0; w < config.workers_per_node; ++w) {
-    run.sim.Spawn(Worker(&run, w));
+    run.sim->Spawn(Worker(&run, w));
   }
 
-  RunStats stats;
-  stats.engine = std::string(name());
-  TimedSimRun(&run.sim, registry, &stats.sim_events_per_sec_wall);
-  SLASH_CHECK_MSG(run.sim.pending_tasks() == 0,
-                  "LightSaber run left " << run.sim.pending_tasks()
-                                         << " pending tasks");
-  registry->GetCounter(obs::metric::kRecordsIn)->Add(run.records_in);
-  registry->GetCounter(obs::metric::kRecordsEmitted)->Add(run.sink.count());
-  registry->GetCounter(obs::metric::kResultChecksum)
-      ->Add(run.sink.checksum());
-  if (config.collect_rows) stats.rows = run.sink.rows();
-  perf::Counters* workers =
-      registry->GetCpu(obs::metric::kCpu, {{obs::kLabelRole, "worker"}});
+  RunStats stats = scaffold.Simulate([] { return Status::OK(); });
+  perf::Counters* workers = scaffold.registry()->GetCpu(
+      obs::metric::kCpu, {{obs::kLabelRole, "worker"}});
   for (auto& cpu : run.worker_cpus) workers->Merge(cpu->counters());
-  telemetry.Finish(&stats);
+  scaffold.PublishJob({}, run.records_in, {&run.sink}, &stats);
+  scaffold.Finish(&stats);
   return stats;
 }
 

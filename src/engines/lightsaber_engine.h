@@ -23,14 +23,11 @@ class LightSaberEngine : public Engine {
 
   using Engine::Run;  // the (query, workload, config) compatibility shim
 
-  /// Runs on a single node; the cluster must have nodes == 1. Joins are
-  /// unsupported (check-fails), matching the real system.
+  /// Runs on a single node with no network. A join query, nodes != 1, a
+  /// fault plan, checkpointing, RDMA ingestion, a quota, health detection
+  /// or reconfiguration is rejected with a Status (joins are unsupported
+  /// in the real system too).
   RunStats Run(const JobSpec& job) override;
-
- private:
-  RunStats RunQuery(const core::QuerySpec& query,
-                    const workloads::Workload& workload,
-                    const ClusterConfig& config);
 };
 
 }  // namespace slash::engines

@@ -16,7 +16,6 @@
 
 #include "common/hash.h"
 #include "core/query.h"
-#include "core/vector_clock.h"
 #include "perf/cost_model.h"
 #include "sim/simulator.h"
 

@@ -6,6 +6,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -25,6 +26,17 @@ using channel::RdmaChannel;
 using channel::SlotRef;
 using core::Record;
 using perf::Op;
+
+// Slash implements every setting; the single-job-only ones (faults, health,
+// reconfiguration) are rejected for multi-tenant runs by RunJobs.
+constexpr EngineSupport kSlashSupport{.faults = true,
+                                      .health = true,
+                                      .reconfig = true,
+                                      .checkpointing = true,
+                                      .rdma_ingestion = true,
+                                      .quota = true,
+                                      .joins = true,
+                                      .multi_node = true};
 
 // Recovery is not free: each channel of the rebuilt attempt costs a
 // connection setup, and restoring checkpoint blobs streams them back
@@ -136,11 +148,11 @@ struct NodeState {
 };
 
 // One job's full execution state. The DES and the fabric are NOT owned:
-// Run() owns one pair per single-job run, RunJobs() shares one pair across
-// every concurrent job (DESIGN.md §12) — which is the whole point of the
-// multi-tenant design: fairness falls out of one timestamp-ordered event
-// queue, and the NIC model contends naturally because every job's channels
-// live on the same simulated fabric.
+// RunOnCluster's RunScaffold owns one pair, shared by every concurrent job
+// of the run (DESIGN.md §12) — which is the whole point of the multi-tenant
+// design: fairness falls out of one timestamp-ordered event queue, and the
+// NIC model contends naturally because every job's channels live on the
+// same simulated fabric.
 struct SlashRun {
   const core::QuerySpec* query;
   const workloads::Workload* workload;
@@ -148,7 +160,6 @@ struct SlashRun {
   state::SsbConfig ssb_config;
   sim::Simulator* sim = nullptr;
   rdma::Fabric* fabric = nullptr;
-  std::unique_ptr<sim::FaultInjector> injector;
   // Multi-tenant identity: a non-empty tenant labels this job's instruments
   // {tenant=...} and gives it dedicated trace tracks; the quota (job.quota
   // > 0) caps the job's in-flight NIC credits across all of its channels.
@@ -259,7 +270,7 @@ void FailRun(SlashRun* run, const Status& cause) {
 }
 
 /// Emits and retires every bucket of the partitions this node leads whose
-/// trigger watermark passed min(V).
+/// trigger watermark passed the partition's low watermark.
 void TryTrigger(SlashRun* run, NodeState* ns, perf::CpuContext* cpu) {
   if (run->fenced[ns->node]) {
     // Fencing invariant: a node without majority contact must not emit.
@@ -1703,7 +1714,7 @@ void ResolveObs(SlashRun* run, obs::MetricsRegistry* registry) {
   }
 }
 
-/// Per-job setup shared by Run and RunJobs: derives the SSB config, seeds
+/// Per-job setup of RunOnCluster: derives the SSB config, seeds
 /// the recovery control plane and the identity placement, threads the
 /// tenant identity and quota into the job's channel config, and builds
 /// attempt 1. The fabric and obs handles must already be wired up.
@@ -1765,12 +1776,13 @@ void SetUpJob(SlashRun* run, obs::MetricsRegistry* registry) {
 }
 
 /// Publishes everything one job tallied itself into the registry, under the
-/// job's labels. Channel retries and NIC tx bytes were published live; the
-/// drain time and quota denials are opt-in instruments that only register
-/// for jobs that carry a tenant / quota, so legacy snapshots keep their
-/// exact instrument set.
-void PublishJobStats(SlashRun& run, obs::MetricsRegistry* registry,
-                     RunStats* stats) {
+/// job's labels, and hands the common part (fault counters, records_in,
+/// results) to the scaffold. Channel retries and NIC tx bytes were
+/// published live; the drain time and quota denials are opt-in instruments
+/// that only register for jobs that carry a tenant / quota, so legacy
+/// snapshots keep their exact instrument set.
+void PublishJobStats(SlashRun& run, RunScaffold* scaffold, RunStats* stats) {
+  obs::MetricsRegistry* registry = scaffold->registry();
   const obs::LabelSet labels = JobLabels(run);
   if (!run.failed) {
     // Only the surviving attempt's channels can owe credits; channels of a
@@ -1782,13 +1794,6 @@ void PublishJobStats(SlashRun& run, obs::MetricsRegistry* registry,
     registry->GetCounter(obs::metric::kChannelCreditsOutstanding, labels)
         ->Add(credits);
   }
-  if (run.injector) {
-    registry->GetCounter(obs::metric::kFaultsInjected, labels)
-        ->Add(run.injector->trace().size());
-    registry->GetCounter(obs::metric::kFaultTraceDigest, labels)
-        ->Add(run.injector->trace_digest());
-  }
-  registry->GetCounter(obs::metric::kRecordsIn, labels)->Add(run.records_in);
   registry->GetCounter(obs::metric::kCheckpointBytesReplicated, labels)
       ->Add(run.bytes_replicated);
   registry->GetCounter(obs::metric::kRecoveries, labels)->Add(run.recoveries);
@@ -1829,19 +1834,6 @@ void PublishJobStats(SlashRun& run, obs::MetricsRegistry* registry,
           ->Set(double(run.partition_load[size_t(p)]));
     }
   }
-  obs::Counter* emitted =
-      registry->GetCounter(obs::metric::kRecordsEmitted, labels);
-  obs::Counter* checksum =
-      registry->GetCounter(obs::metric::kResultChecksum, labels);
-  for (NodeState* ns : run.nodes) {
-    if (ns == nullptr) continue;
-    emitted->Add(ns->sink.count());
-    checksum->Add(ns->sink.checksum());
-    if (run.config.collect_rows) {
-      const auto& rows = ns->sink.rows();
-      stats->rows.insert(stats->rows.end(), rows.begin(), rows.end());
-    }
-  }
   // CPU counters accumulate across every attempt — a torn-down attempt
   // still burned the cycles.
   perf::Counters* workers = registry->GetCpu(
@@ -1867,235 +1859,173 @@ void PublishJobStats(SlashRun& run, obs::MetricsRegistry* registry,
     registry->GetCounter(obs::metric::kChannelQuotaDenials, labels)
         ->Add(run.quota->denials());
   }
+  std::vector<const core::ResultSink*> sinks;
+  for (NodeState* ns : run.nodes) {
+    if (ns != nullptr) sinks.push_back(&ns->sink);
+  }
+  scaffold->PublishJob(labels, run.records_in, sinks, stats);
 }
 
-}  // namespace
-
-RunStats SlashEngine::Run(const JobSpec& job) {
-  RunStats stats;
-  stats.engine = std::string(name());
-
-  ClusterConfig config;
-  if (Status prepared = PrepareJob(job, &config); !prepared.ok()) {
-    stats.status = prepared;
-    return stats;
+/// The multi-tenant preconditions of RunJobs: at least one job, unique
+/// non-empty tenants, and none of the settings that reason about one job's
+/// ownership map and recovery rounds — neither concept is defined across
+/// tenants yet.
+Status CheckMultiTenant(std::span<const JobSpec> jobs,
+                        const ClusterConfig& cluster) {
+  if (jobs.empty()) {
+    return Status::InvalidArgument("RunJobs needs at least one job");
   }
-
-  sim::Simulator sim;
-  SlashRun run;
-  run.sim = &sim;
-  run.query = &job.query;
-  run.workload = job.sources;
-  run.config = config;
-  run.tenant = job.tenant;
-  if (job.quota > 0) {
-    run.quota = std::make_unique<channel::CreditQuota>(job.quota);
+  if (cluster.fault_plan != nullptr && !cluster.fault_plan->empty()) {
+    return Status::Unimplemented(
+        "fault injection in a multi-job run (use Run for a single job)");
   }
-
-  RunTelemetry telemetry(config);
-  obs::MetricsRegistry* registry = telemetry.registry();
-
-  // Ingestion mode adds one dedicated source node per executor node.
-  const int fabric_nodes =
-      config.rdma_ingestion ? 2 * config.nodes : config.nodes;
-
-  // The injector must be registered before the fabric is built so the
-  // fabric attaches itself as the fault target at construction. The plan is
-  // validated against the fabric's node count first: a malformed plan is a
-  // configuration error reported up front, not a mid-run surprise.
-  if (config.fault_plan != nullptr && !config.fault_plan->empty()) {
-    const Status plan_status = config.fault_plan->Validate(fabric_nodes);
-    if (!plan_status.ok()) {
-      stats.status = plan_status;
-      return stats;
+  if (cluster.health.enabled) {
+    return Status::Unimplemented(
+        "health monitoring in a multi-job run (use Run for a single job)");
+  }
+  if (cluster.reconfig != nullptr) {
+    return Status::Unimplemented(
+        "elastic reconfiguration in a multi-job run (use Run for a single "
+        "job)");
+  }
+  for (size_t j = 0; j < jobs.size(); ++j) {
+    if (jobs[j].tenant.empty()) {
+      return Status::InvalidArgument(
+          "every job of a multi-job run needs a non-empty tenant");
     }
-    run.injector =
-        std::make_unique<sim::FaultInjector>(&sim, *config.fault_plan);
-    sim.set_fault_injector(run.injector.get());
+    for (size_t k = 0; k < j; ++k) {
+      if (jobs[k].tenant == jobs[j].tenant) {
+        return Status::InvalidArgument(
+            "duplicate tenant '" + jobs[j].tenant + "' in a multi-job run");
+      }
+    }
   }
+  return Status::OK();
+}
+
+/// Validates the single-job control plane: the health detector's timeout
+/// hierarchy and the reconfiguration plan (against the fault plan, and
+/// with the checkpointing its handoffs need).
+Status ValidateControlPlane(const ClusterConfig& config) {
   if (config.health.enabled) {
-    const Status health_status = config.health.Validate();
-    if (!health_status.ok()) {
-      stats.status = health_status;
-      return stats;
+    if (Status health = config.health.Validate(); !health.ok()) return health;
+  }
+  if (config.reconfig == nullptr) return Status::OK();
+  if (Status plan = config.reconfig->Validate(config.nodes); !plan.ok()) {
+    return plan;
+  }
+  if (config.fault_plan != nullptr && !config.fault_plan->empty()) {
+    if (Status plan = config.reconfig->ValidateWithFaults(*config.fault_plan,
+                                                          config.nodes);
+        !plan.ok()) {
+      return plan;
     }
   }
-  if (config.reconfig != nullptr) {
-    Status reconfig_status = config.reconfig->Validate(config.nodes);
-    if (reconfig_status.ok() && config.fault_plan != nullptr &&
-        !config.fault_plan->empty()) {
-      reconfig_status =
-          config.reconfig->ValidateWithFaults(*config.fault_plan,
-                                              config.nodes);
-    }
-    if (reconfig_status.ok() && !config.checkpoint.enabled) {
-      reconfig_status = Status::InvalidArgument(
-          "elastic reconfiguration requires checkpointing: handoffs restore "
-          "state from checkpoint blobs and replay the tail");
-    }
-    if (!reconfig_status.ok()) {
-      stats.status = reconfig_status;
-      return stats;
-    }
+  if (!config.checkpoint.enabled) {
+    return Status::InvalidArgument(
+        "elastic reconfiguration requires checkpointing: handoffs restore "
+        "state from checkpoint blobs and replay the tail");
   }
+  return Status::OK();
+}
 
-  // Register the observability plane before building the fabric so the
-  // per-node NIC counters and channel handles wire themselves up.
-  telemetry.Register(&sim);
-  telemetry.NameNodes(fabric_nodes);
-  ResolveObs(&run, registry);
-
-  rdma::FabricConfig fabric_config;
-  fabric_config.nodes = fabric_nodes;
-  fabric_config.nic = config.nic;
-  fabric_config.connection = config.connection;
-  rdma::Fabric fabric(&sim, fabric_config);
-  run.fabric = &fabric;
-  fabric.SetNodeCrashHandler(
-      [run_ptr = &run](int node) { OnNodeCrash(run_ptr, node); });
-
-  SetUpJob(&run, registry);
-
-  // The monitor is constructed after the first attempt so its probe QPs
-  // number after the data plane's (QPNs are assigned in Connect order);
-  // health off keeps every baseline byte-identical.
+/// Starts the health monitor and the reconfiguration control plane of a
+/// single-job run. The monitor is constructed after the first attempt so
+/// its probe QPs number after the data plane's (QPNs are assigned in
+/// Connect order); health off keeps every baseline byte-identical. The
+/// reconfiguration control plane starts after the monitor so membership
+/// callbacks find it constructed; scheduled joins/leaves and the load
+/// trigger all run on the shared DES clock.
+void StartControlPlane(SlashRun* rp) {
+  const ClusterConfig& config = rp->config;
   if (config.health.enabled) {
     health::HealthMonitor::Callbacks callbacks;
-    SlashRun* rp = &run;
     callbacks.on_suspect = [rp](int monitor, const std::vector<int>& s) {
       OnSuspicion(rp, monitor, s);
     };
     callbacks.on_self_fence = [rp](int node) { OnSelfFence(rp, node); };
     callbacks.on_unfence = [rp](int node) { OnUnfence(rp, node); };
     callbacks.on_liveness_resumed = [rp](int node) { OnRejoin(rp, node); };
-    run.health = std::make_unique<health::HealthMonitor>(
-        run.fabric, config.health, config.nodes, std::move(callbacks));
+    rp->health = std::make_unique<health::HealthMonitor>(
+        rp->fabric, config.health, config.nodes, std::move(callbacks));
     // Provisioned-but-inactive nodes of an elastic run are not members yet:
     // they must not be probed, accused, or counted toward quorum until
     // their join executes.
     for (int n = 0; n < config.nodes; ++n) {
-      if (!run.alive[n]) run.health->SetMembership(n, false);
+      if (!rp->alive[n]) rp->health->SetMembership(n, false);
     }
-    run.health->Start();
+    rp->health->Start();
     if (config.health.run_deadline > 0) {
       const Nanos deadline_at = config.health.run_deadline;
-      sim.ScheduleAt(
+      rp->sim->ScheduleAt(
           std::min(config.health.heartbeat_interval * 4, deadline_at),
           [rp, deadline_at] { PollRunDeadline(rp, deadline_at); });
     }
   }
-
-  // The reconfiguration control plane starts after the health monitor so
-  // membership callbacks find it constructed; scheduled joins/leaves and
-  // the load trigger all run on the shared DES clock.
   if (config.reconfig != nullptr) {
-    SlashRun* rp = &run;
-    elastic::ReconfigCoordinator::Callbacks reconfig_callbacks;
-    reconfig_callbacks.on_join = [rp](int n) { return OnNodeJoin(rp, n); };
-    reconfig_callbacks.on_leave = [rp](int n) { return OnNodeLeave(rp, n); };
-    reconfig_callbacks.sample_records = [rp] { return rp->records_in; };
-    run.reconfig_coord = std::make_unique<elastic::ReconfigCoordinator>(
-        &sim, config.reconfig, config.nodes, std::move(reconfig_callbacks));
-    run.reconfig_coord->Start();
+    elastic::ReconfigCoordinator::Callbacks callbacks;
+    callbacks.on_join = [rp](int n) { return OnNodeJoin(rp, n); };
+    callbacks.on_leave = [rp](int n) { return OnNodeLeave(rp, n); };
+    callbacks.sample_records = [rp] { return rp->records_in; };
+    rp->reconfig_coord = std::make_unique<elastic::ReconfigCoordinator>(
+        rp->sim, config.reconfig, config.nodes, std::move(callbacks));
+    rp->reconfig_coord->Start();
   }
-
-  TimedSimRun(&sim, registry, &stats.sim_events_per_sec_wall);
-  // An aborted run legitimately strands coroutines that were mid-protocol
-  // when their channel died; only a *completed* run must fully drain.
-  SLASH_CHECK_MSG(run.failed || sim.pending_tasks() == 0,
-                  "Slash run deadlocked with " << sim.pending_tasks()
-                                               << " pending tasks");
-
-  stats.status = run.failed ? run.failure : Status::OK();
-  PublishJobStats(run, registry, &stats);
-  if (const auto& pool = fabric.buffer_pool();
-      pool.hits() + pool.misses() > 0) {
-    registry->GetGauge(obs::metric::kBufferPoolHitRate)->Set(pool.hit_rate());
-  }
-  telemetry.Finish(&stats);
-  return stats;
 }
 
-MultiRunStats SlashEngine::RunJobs(const std::vector<JobSpec>& jobs,
-                                   const ClusterConfig& cluster) {
+/// A run rejected before anything was built.
+MultiRunStats RejectedJobs(std::string_view engine, const Status& status) {
   MultiRunStats multi;
-  multi.cluster.engine = std::string(name());
-  if (jobs.empty()) {
-    multi.status = Status::InvalidArgument("RunJobs needs at least one job");
-    multi.cluster.status = multi.status;
-    return multi;
-  }
-  // Fault injection and health detection reason about one job's ownership
-  // map and recovery rounds; neither concept is defined across tenants yet.
-  if (cluster.fault_plan != nullptr && !cluster.fault_plan->empty()) {
-    multi.status = Status::Unimplemented(
-        "fault injection in a multi-job run (use Run for a single job)");
-    multi.cluster.status = multi.status;
-    return multi;
-  }
-  if (cluster.health.enabled) {
-    multi.status = Status::Unimplemented(
-        "health monitoring in a multi-job run (use Run for a single job)");
-    multi.cluster.status = multi.status;
-    return multi;
-  }
-  if (cluster.reconfig != nullptr) {
-    multi.status = Status::Unimplemented(
-        "elastic reconfiguration in a multi-job run (use Run for a single "
-        "job)");
-    multi.cluster.status = multi.status;
-    return multi;
-  }
-  for (size_t j = 0; j < jobs.size(); ++j) {
-    if (jobs[j].tenant.empty()) {
-      multi.status = Status::InvalidArgument(
-          "every job of a multi-job run needs a non-empty tenant");
-      multi.cluster.status = multi.status;
-      return multi;
-    }
-    for (size_t k = 0; k < j; ++k) {
-      if (jobs[k].tenant == jobs[j].tenant) {
-        multi.status = Status::InvalidArgument(
-            "duplicate tenant '" + jobs[j].tenant + "' in a multi-job run");
-        multi.cluster.status = multi.status;
-        return multi;
-      }
-    }
-  }
+  multi.status = status;
+  multi.cluster = RejectedRun(engine, status);
+  return multi;
+}
 
+/// The one Slash run path (DESIGN.md §12): runs `jobs` (N >= 1)
+/// concurrently on ONE simulator, telemetry plane and fabric over
+/// `cluster`, whose tracer is the run's. Run() is its one-job case.
+/// `multi_tenant` is RunJobs: the multi-tenant preconditions, dedicated
+/// trace tracks per tenant, and per-job views of the cluster snapshot.
+/// Fault injection, health detection and reconfiguration are wired only
+/// into single-job runs (RunJobs rejects them). Fair scheduling falls out
+/// of the DES: every job's coroutines interleave on the shared
+/// timestamp-ordered event queue, and contention is the shared NIC model.
+MultiRunStats RunOnCluster(std::string_view engine,
+                           std::span<const JobSpec> jobs,
+                           const ClusterConfig& cluster, bool multi_tenant) {
+  if (multi_tenant) {
+    if (Status status = CheckMultiTenant(jobs, cluster); !status.ok()) {
+      return RejectedJobs(engine, status);
+    }
+  }
   // Overlay each job's knobs on the SHARED cluster description: one
   // fabric, one node set — job.cluster is ignored here.
   std::vector<ClusterConfig> configs(jobs.size());
   for (size_t j = 0; j < jobs.size(); ++j) {
-    JobSpec on_cluster = jobs[j];
-    on_cluster.cluster = cluster;
-    if (Status prepared = PrepareJob(on_cluster, &configs[j]);
-        !prepared.ok()) {
-      multi.status = prepared;
-      multi.cluster.status = multi.status;
-      return multi;
+    if (Status admitted = AdmitJob(kSlashSupport, jobs[j], cluster,
+                                   &configs[j]);
+        !admitted.ok()) {
+      return RejectedJobs(engine, admitted);
     }
   }
+  if (Status control = ValidateControlPlane(configs.front()); !control.ok()) {
+    return RejectedJobs(engine, control);
+  }
 
-  sim::Simulator sim;
-  RunTelemetry telemetry(cluster);
-  obs::MetricsRegistry* registry = telemetry.registry();
-
-  // One shared set of source nodes as soon as any job ingests over RDMA.
+  // Ingestion mode adds one dedicated source node per executor node, shared
+  // as soon as any job ingests over RDMA.
   bool any_ingestion = false;
   for (const ClusterConfig& c : configs) any_ingestion |= c.rdma_ingestion;
-  const int fabric_nodes =
-      any_ingestion ? 2 * cluster.nodes : cluster.nodes;
-
-  telemetry.Register(&sim);
-  telemetry.NameNodes(fabric_nodes);
+  const int fabric_nodes = any_ingestion ? 2 * cluster.nodes : cluster.nodes;
+  RunScaffold scaffold(engine, cluster, fabric_nodes);
 
   // Stable addresses: coroutines and close handlers capture SlashRun*.
   std::vector<std::unique_ptr<SlashRun>> runs;
   runs.reserve(jobs.size());
   for (size_t j = 0; j < jobs.size(); ++j) {
     auto run = std::make_unique<SlashRun>();
-    run->sim = &sim;
+    run->sim = scaffold.sim();
+    run->fabric = scaffold.fabric();
     run->query = &jobs[j].query;
     run->workload = jobs[j].sources;
     run->config = configs[j];
@@ -2105,75 +2035,85 @@ MultiRunStats SlashEngine::RunJobs(const std::vector<JobSpec>& jobs,
     }
     // Dedicated trace tracks per job, named after the tenant, so one trace
     // file shows every job's epochs and recovery side by side.
-    run->track_engine = obs::kTrackElastic + 1 + int(2 * j);
-    run->track_recovery = obs::kTrackElastic + 2 + int(2 * j);
-    if (obs::Tracer* tracer = telemetry.tracer(); tracer->enabled()) {
-      for (int n = 0; n < fabric_nodes; ++n) {
-        tracer->SetTrackName(n, run->track_engine,
-                             "engine/" + jobs[j].tenant);
-        tracer->SetTrackName(n, run->track_recovery,
-                             "recovery/" + jobs[j].tenant);
+    if (multi_tenant) {
+      run->track_engine = obs::kTrackElastic + 1 + int(2 * j);
+      run->track_recovery = obs::kTrackElastic + 2 + int(2 * j);
+      if (obs::Tracer* tracer = scaffold.tracer(); tracer->enabled()) {
+        for (int n = 0; n < fabric_nodes; ++n) {
+          tracer->SetTrackName(n, run->track_engine,
+                               "engine/" + jobs[j].tenant);
+          tracer->SetTrackName(n, run->track_recovery,
+                               "recovery/" + jobs[j].tenant);
+        }
       }
     }
-    ResolveObs(run.get(), registry);
+    ResolveObs(run.get(), scaffold.registry());
     runs.push_back(std::move(run));
   }
 
-  rdma::FabricConfig fabric_config;
-  fabric_config.nodes = fabric_nodes;
-  fabric_config.nic = cluster.nic;
-  fabric_config.connection = cluster.connection;
-  rdma::Fabric fabric(&sim, fabric_config);
-  // No injector is installed (validated above), so this cannot fire today;
-  // it still fails every job loudly rather than hanging if it ever does.
-  fabric.SetNodeCrashHandler([&runs](int) {
-    for (auto& r : runs) {
-      if (!r->failed) {
-        FailRun(r.get(),
-                Status::Unimplemented("node crash in a multi-job run"));
+  if (runs.size() == 1) {
+    scaffold.fabric()->SetNodeCrashHandler(
+        [rp = runs.front().get()](int node) { OnNodeCrash(rp, node); });
+  } else {
+    // No injector is installed (CheckMultiTenant), so this cannot fire
+    // today; it still fails every job loudly rather than hanging if it
+    // ever does.
+    scaffold.fabric()->SetNodeCrashHandler([&runs](int) {
+      for (auto& r : runs) {
+        if (!r->failed) {
+          FailRun(r.get(),
+                  Status::Unimplemented("node crash in a multi-job run"));
+        }
       }
-    }
-  });
-
-  for (auto& run : runs) {
-    run->fabric = &fabric;
-    SetUpJob(run.get(), registry);
+    });
   }
+  for (auto& run : runs) SetUpJob(run.get(), scaffold.registry());
+  if (runs.size() == 1) StartControlPlane(runs.front().get());
 
-  // One DES drives every job's coroutines: fairness is the timestamp order
-  // of the shared event queue, contention is the shared NIC model.
-  TimedSimRun(&sim, registry, &multi.cluster.sim_events_per_sec_wall);
-  bool all_ok = true;
-  for (auto& run : runs) all_ok = all_ok && !run->failed;
-  SLASH_CHECK_MSG(!all_ok || sim.pending_tasks() == 0,
-                  "multi-job run deadlocked with " << sim.pending_tasks()
-                                                   << " pending tasks");
-
+  MultiRunStats multi;
+  multi.cluster = scaffold.Simulate([&runs] {
+    for (auto& run : runs) {
+      if (run->failed) return run->failure;
+    }
+    return Status::OK();
+  });
+  multi.status = multi.cluster.status;
   multi.jobs.resize(jobs.size());
   for (size_t j = 0; j < jobs.size(); ++j) {
     SlashRun& run = *runs[j];
     RunStats& stats = multi.jobs[j];
-    stats.engine = std::string(name());
+    stats.engine = std::string(engine);
     stats.status = run.failed ? run.failure : Status::OK();
-    if (!stats.ok() && multi.status.ok()) multi.status = stats.status;
-    PublishJobStats(run, registry, &stats);
+    PublishJobStats(run, &scaffold, &stats);
   }
-  if (const auto& pool = fabric.buffer_pool();
-      pool.hits() + pool.misses() > 0) {
-    registry->GetGauge(obs::metric::kBufferPoolHitRate)->Set(pool.hit_rate());
-  }
-  multi.cluster.status = multi.status;
-  telemetry.Finish(&multi.cluster);
+  scaffold.Finish(&multi.cluster);
   // Per-job views: the cluster snapshot filtered to each tenant's label
   // (shared, unlabeled instruments — makespan, NIC bytes, DES counters —
   // are retained, so the RunStats accessors work unchanged).
-  for (size_t j = 0; j < jobs.size(); ++j) {
-    multi.jobs[j].metrics =
-        multi.cluster.metrics.SelectLabel(obs::kLabelTenant, jobs[j].tenant);
-    multi.jobs[j].sim_events_per_sec_wall =
-        multi.cluster.sim_events_per_sec_wall;
+  if (multi_tenant) {
+    for (size_t j = 0; j < jobs.size(); ++j) {
+      multi.jobs[j].metrics =
+          multi.cluster.metrics.SelectLabel(obs::kLabelTenant, jobs[j].tenant);
+      multi.jobs[j].sim_events_per_sec_wall =
+          multi.cluster.sim_events_per_sec_wall;
+    }
   }
   return multi;
+}
+
+}  // namespace
+
+RunStats SlashEngine::Run(const JobSpec& job) {
+  MultiRunStats multi = RunOnCluster(
+      name(), std::span<const JobSpec>(&job, 1),
+      EffectiveConfig(job.cluster, job.config), /*multi_tenant=*/false);
+  if (!multi.jobs.empty()) multi.cluster.rows = std::move(multi.jobs[0].rows);
+  return std::move(multi.cluster);
+}
+
+MultiRunStats SlashEngine::RunJobs(const std::vector<JobSpec>& jobs,
+                                   const ClusterConfig& cluster) {
+  return RunOnCluster(name(), jobs, cluster, /*multi_tenant=*/true);
 }
 
 }  // namespace slash::engines

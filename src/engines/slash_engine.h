@@ -10,8 +10,9 @@
 //     over the n^2 mesh of RDMA channels to the partition leaders, and
 //     resets the fragments. Low watermarks piggyback on the deltas.
 //   * A leader coroutine per node reassembles inbound deltas, CRDT-merges
-//     them into the primary partition, advances the vector clock, and
-//     triggers windows whose trigger watermark passed min(V) — emitting
+//     them into the primary partition, advances the partition's low
+//     watermark (the minimum over its inbound channels' watermarks), and
+//     triggers windows whose trigger watermark it passed — emitting
 //     per-key results from the merged, consistent state (properties P1/P2).
 //
 // The coroutine scheduler interleaves compute and RDMA work exactly as
@@ -33,18 +34,20 @@ class SlashEngine : public Engine {
 
   using Engine::Run;  // the (query, workload, config) compatibility shim
 
-  /// Runs one job. A non-empty job.tenant labels every job-scoped metric
-  /// and trace track {tenant=...}; job.quota > 0 caps the job's in-flight
-  /// NIC credits. With an empty tenant and no quota the run is
-  /// byte-identical to the legacy (query, workload, config) path.
+  /// Runs one job: the one-job case of RunJobs' run path, and the only
+  /// one wired to fault recovery, health detection and reconfiguration. A
+  /// non-empty job.tenant labels every job-scoped metric {tenant=...};
+  /// job.quota > 0 caps the job's in-flight NIC credits. With an empty
+  /// tenant and no quota the run is byte-identical to the legacy (query,
+  /// workload, config) path.
   RunStats Run(const JobSpec& job) override;
 
   /// Multi-query multi-tenant execution (DESIGN.md §12): runs all `jobs`
   /// concurrently on ONE simulated cluster — one DES, one fabric, one
   /// node set described by `cluster` — with per-tenant NIC-credit quotas
   /// and per-tenant metric/trace labeling. Jobs must carry unique,
-  /// non-empty tenants. Fault plans and health detection are per-cluster
-  /// single-job constructs and are rejected with kUnimplemented here.
+  /// non-empty tenants. Fault plans, health detection and reconfiguration
+  /// are single-job constructs and are rejected with kUnimplemented here.
   /// Fair scheduling falls out of the DES: every job's coroutines
   /// interleave on the shared timestamp-ordered event queue.
   MultiRunStats RunJobs(const std::vector<JobSpec>& jobs,

@@ -1,10 +1,10 @@
 // Shared window-trigger logic used by every engine's leader/receiver side.
 //
 // Given a watermark that the engine's progress-tracking mechanism proved
-// safe (Slash: min of the vector clock; re-partitioning engines: min over
-// input-channel watermarks; LightSaber: min over worker watermarks), emits
-// every state bucket whose trigger watermark has passed, then retires the
-// bucket. Centralizing this guarantees all SUTs produce results under
+// safe (Slash: min over the per-channel watermarks feeding a partition;
+// re-partitioning engines: min over input-channel watermarks; LightSaber:
+// end of stream), emits every state bucket whose trigger watermark has
+// passed, then retires the bucket. Centralizing this guarantees all SUTs produce results under
 // identical trigger semantics, so benchmark differences come only from the
 // execution strategy.
 #ifndef SLASH_ENGINES_TRIGGER_H_
@@ -22,7 +22,6 @@
 #include "core/record.h"
 #include "core/result_sink.h"
 #include "core/sliding.h"
-#include "core/vector_clock.h"
 #include "perf/cost_model.h"
 #include "state/partition.h"
 

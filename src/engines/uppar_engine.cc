@@ -21,6 +21,11 @@ using channel::SlotRef;
 using core::Record;
 using perf::Op;
 
+// Hash re-partitioning over RDMA channels, with neither a checkpoint nor a
+// control plane; at least one sender and one receiver thread per node.
+constexpr EngineSupport kUpParSupport{
+    .faults = true, .joins = true, .multi_node = true, .min_workers = 2};
+
 struct UpParRun;
 
 /// One outbound lane from a sender to a consumer: an RDMA channel for
@@ -71,9 +76,8 @@ struct UpParRun {
   const core::QuerySpec* query;
   const workloads::Workload* workload;
   ClusterConfig config;
-  sim::Simulator sim;
-  std::unique_ptr<sim::FaultInjector> injector;
-  std::unique_ptr<rdma::Fabric> fabric;
+  sim::Simulator* sim = nullptr;
+  rdma::Fabric* fabric = nullptr;
   std::vector<std::unique_ptr<RdmaChannel>> channels;
   std::vector<std::unique_ptr<LocalQueue>> local_queues;
   std::vector<std::unique_ptr<SenderState>> senders;
@@ -116,9 +120,9 @@ sim::Task FlushLane(UpParRun* run, SenderState* s, Outbound* ob,
       if (!final_marker) co_return;  // nothing buffered
       while (!ob->channel->TryAcquire(&ob->slot, cpu)) {
         if (run->failed || ob->channel->broken()) co_return;
-        const Nanos wait_start = run->sim.now();
+        const Nanos wait_start = run->sim->now();
         co_await ob->channel->credit_event().Wait();
-        cpu->ChargeWait(run->sim.now() - wait_start);
+        cpu->ChargeWait(run->sim->now() - wait_start);
       }
       ob->slot_open = true;
       ob->writer = std::make_unique<core::RecordWriter>(ob->slot.payload,
@@ -171,9 +175,9 @@ sim::Task Sender(UpParRun* run, SenderState* s) {
       if (ob->channel != nullptr && !ob->slot_open) {
         while (!ob->channel->TryAcquire(&ob->slot, cpu)) {
           if (run->failed || ob->channel->broken()) co_return;
-          const Nanos wait_start = run->sim.now();
+          const Nanos wait_start = run->sim->now();
           co_await ob->channel->credit_event().Wait();
-          cpu->ChargeWait(run->sim.now() - wait_start);
+          cpu->ChargeWait(run->sim->now() - wait_start);
         }
         ob->slot_open = true;
         ob->writer = std::make_unique<core::RecordWriter>(
@@ -190,9 +194,9 @@ sim::Task Sender(UpParRun* run, SenderState* s) {
         if (ob->channel != nullptr) {
           while (!ob->channel->TryAcquire(&ob->slot, cpu)) {
             if (run->failed || ob->channel->broken()) co_return;
-            const Nanos wait_start = run->sim.now();
+            const Nanos wait_start = run->sim->now();
             co_await ob->channel->credit_event().Wait();
-            cpu->ChargeWait(run->sim.now() - wait_start);
+            cpu->ChargeWait(run->sim->now() - wait_start);
           }
           ob->slot_open = true;
           ob->writer = std::make_unique<core::RecordWriter>(
@@ -269,7 +273,7 @@ sim::Task Receiver(UpParRun* run, ConsumerState* c) {
         InboundBuffer buffer;
         while (in.channel->TryPoll(&buffer, cpu)) {
           progressed = true;
-          run->latency->Record(run->sim.now() - buffer.send_time);
+          run->latency->Record(run->sim->now() - buffer.send_time);
           ProcessBuffer(run, c, buffer.payload, buffer.payload_len,
                         buffer.watermark, /*final_marker=*/buffer.user_tag == 1,
                         in.sender);
@@ -291,14 +295,14 @@ sim::Task Receiver(UpParRun* run, ConsumerState* c) {
       TriggerWindows(*run->query, c->Watermark(), c->partition.get(),
                      &c->sink, cpu, &c->last_trigger_wm);
       if (run->tracer != nullptr && c->last_trigger_wm != before) {
-        run->tracer->Instant(run->sim.now(), run->trace_window,
+        run->tracer->Instant(run->sim->now(), run->trace_window,
                              run->trace_cat, c->node, obs::kTrackEngine);
       }
       co_await cpu->Sync();
     } else if (!run->failed) {
-      const Nanos wait_start = run->sim.now();
+      const Nanos wait_start = run->sim->now();
       co_await c->arrivals->Wait();
-      cpu->ChargeWait(run->sim.now() - wait_start);
+      cpu->ChargeWait(run->sim->now() - wait_start);
     }
   }
   // Aborted runs skip the final trigger: partial windows would pollute the
@@ -314,84 +318,31 @@ sim::Task Receiver(UpParRun* run, ConsumerState* c) {
 
 RunStats UpParEngine::Run(const JobSpec& job) {
   ClusterConfig config;
-  if (Status prepared = PrepareJob(job, &config); !prepared.ok()) {
-    RunStats stats;
-    stats.engine = std::string(name());
-    stats.status = prepared;
-    return stats;
+  if (Status admitted = AdmitJob(kUpParSupport, job, job.cluster, &config);
+      !admitted.ok()) {
+    return RejectedRun(name(), admitted);
   }
-  return RunQuery(job.query, *job.sources, config);
-}
+  RunScaffold scaffold(name(), config, config.nodes);
 
-RunStats UpParEngine::RunQuery(const core::QuerySpec& query,
-                               const workloads::Workload& workload,
-                               const ClusterConfig& config) {
-  SLASH_CHECK_MSG(config.workers_per_node >= 2,
-                  "re-partitioning engines need at least one sender and one "
-                  "receiver per node");
   UpParRun run;
-  run.query = &query;
-  run.workload = &workload;
+  run.query = &job.query;
+  run.workload = job.sources;
   run.config = config;
+  run.sim = scaffold.sim();
+  run.fabric = scaffold.fabric();
   run.senders_per_node = config.workers_per_node / 2;
   run.receivers_per_node = config.workers_per_node - run.senders_per_node;
-
-  if (config.health.enabled) {
-    RunStats stats;
-    stats.engine = std::string(name());
-    stats.status = Status::Unimplemented(
-        "health monitoring requires the Slash engine's quarantine/recovery "
-        "path");
-    return stats;
-  }
-  if (config.reconfig != nullptr) {
-    RunStats stats;
-    stats.engine = std::string(name());
-    stats.status = Status::Unimplemented(
-        "elastic reconfiguration requires the Slash engine's handoff path");
-    return stats;
-  }
-
-  RunTelemetry telemetry(config);
-  obs::MetricsRegistry* registry = telemetry.registry();
-
-  // The injector must be registered before the fabric is built so the
-  // fabric attaches itself as the fault target at construction. The plan is
-  // validated up front: a malformed plan is a configuration error, not a
-  // mid-run surprise.
-  if (config.fault_plan != nullptr && !config.fault_plan->empty()) {
-    const Status plan_status = config.fault_plan->Validate(config.nodes);
-    if (!plan_status.ok()) {
-      RunStats stats;
-      stats.engine = std::string(name());
-      stats.status = plan_status;
-      return stats;
-    }
-    run.injector =
-        std::make_unique<sim::FaultInjector>(&run.sim, *config.fault_plan);
-    run.sim.set_fault_injector(run.injector.get());
-  }
-
-  // Register the observability plane before building the fabric so the
-  // per-node NIC counters and channel handles wire themselves up.
-  telemetry.Register(&run.sim);
-  telemetry.NameNodes(config.nodes);
-  run.latency = registry->GetHistogram(obs::metric::kTransferLatencyNs);
-  run.tracer = run.sim.tracer();
+  run.latency =
+      scaffold.registry()->GetHistogram(obs::metric::kTransferLatencyNs);
+  run.tracer = run.sim->tracer();
   if (run.tracer != nullptr) {
     run.trace_window = run.tracer->Intern("engine.window_fire");
     run.trace_cat = run.tracer->Intern("uppar");
   }
 
-  rdma::FabricConfig fabric_config;
-  fabric_config.nodes = config.nodes;
-  fabric_config.nic = config.nic;
-  fabric_config.connection = config.connection;
-  run.fabric = std::make_unique<rdma::Fabric>(&run.sim, fabric_config);
-
   state::PartitionConfig pcfg;
-  pcfg.kind = query.is_join() ? state::StateKind::kAppend
-                              : state::StateKind::kAggregate;
+  pcfg.kind = job.query.is_join() ? state::StateKind::kAppend
+                                  : state::StateKind::kAggregate;
   pcfg.lss_capacity = config.state_lss_capacity;
   pcfg.index_buckets = config.state_index_buckets;
 
@@ -404,11 +355,11 @@ RunStats UpParEngine::RunQuery(const core::QuerySpec& query,
       auto c = std::make_unique<ConsumerState>();
       c->global_id = node * run.receivers_per_node + rcv;
       c->node = node;
-      c->cpu = std::make_unique<perf::CpuContext>(&run.sim, config.cost_model,
+      c->cpu = std::make_unique<perf::CpuContext>(run.sim, config.cost_model,
                                                   config.cpu_ghz);
       c->partition = std::make_unique<state::Partition>(c->global_id, pcfg);
       c->sink = core::ResultSink(config.collect_rows);
-      c->arrivals = std::make_unique<sim::Event>(&run.sim);
+      c->arrivals = std::make_unique<sim::Event>(run.sim);
       run.consumers.push_back(std::move(c));
     }
   }
@@ -418,30 +369,29 @@ RunStats UpParEngine::RunQuery(const core::QuerySpec& query,
       auto s = std::make_unique<SenderState>();
       s->global_id = node * run.senders_per_node + snd;
       s->node = node;
-      s->cpu = std::make_unique<perf::CpuContext>(&run.sim, config.cost_model,
+      s->cpu = std::make_unique<perf::CpuContext>(run.sim, config.cost_model,
                                                   config.cpu_ghz);
       // This sender's share of the node's canonical flows.
       std::vector<std::unique_ptr<core::RecordSource>> flows;
       for (int f = 0; f < flows_per_sender; ++f) {
         const int flow = node * config.workers_per_node +
                          snd * flows_per_sender + f;
-        flows.push_back(workload.MakeFlow(flow, total_flows,
-                                          config.records_per_worker,
-                                          config.seed));
+        flows.push_back(run.workload->MakeFlow(
+            flow, total_flows, config.records_per_worker, config.seed));
       }
       s->mux = std::make_unique<FlowMux>(std::move(flows));
       s->outbound.resize(run.consumers.size());
       for (auto& consumer : run.consumers) {
         Outbound& ob = s->outbound[consumer->global_id];
         if (consumer->node == node) {
-          run.local_queues.push_back(std::make_unique<LocalQueue>(&run.sim));
+          run.local_queues.push_back(std::make_unique<LocalQueue>(run.sim));
           ob.local = run.local_queues.back().get();
           ob.local->AddObserver(consumer->arrivals.get());
           consumer->inbound.push_back(
               {s->global_id, /*channel=*/nullptr, ob.local});
         } else {
-          auto ch = RdmaChannel::Create(run.fabric.get(), node,
-                                        consumer->node, config.channel);
+          auto ch = RdmaChannel::Create(run.fabric, node, consumer->node,
+                                        config.channel);
           ob.channel = ch.get();
           ch->AddDataObserver(consumer->arrivals.get());
           ch->SetCloseHandler([run_ptr = &run](const Status& cause) {
@@ -461,18 +411,12 @@ RunStats UpParEngine::RunQuery(const core::QuerySpec& query,
     c->sender_final.assign(run.senders.size(), false);
   }
 
-  for (auto& s : run.senders) run.sim.Spawn(Sender(&run, s.get()));
-  for (auto& c : run.consumers) run.sim.Spawn(Receiver(&run, c.get()));
+  for (auto& s : run.senders) run.sim->Spawn(Sender(&run, s.get()));
+  for (auto& c : run.consumers) run.sim->Spawn(Receiver(&run, c.get()));
 
-  RunStats stats;
-  stats.engine = std::string(name());
-  TimedSimRun(&run.sim, registry, &stats.sim_events_per_sec_wall);
-  // An aborted run legitimately strands coroutines that were mid-protocol
-  // when their channel died; only a *completed* run must fully drain.
-  SLASH_CHECK_MSG(run.failed || run.sim.pending_tasks() == 0,
-                  "UpPar run deadlocked with " << run.sim.pending_tasks()
-                                               << " pending tasks");
-  stats.status = run.failed ? run.failure : Status::OK();
+  RunStats stats = scaffold.Simulate(
+      [&run] { return run.failed ? run.failure : Status::OK(); });
+  obs::MetricsRegistry* registry = scaffold.registry();
   // Channel retries and NIC tx bytes were published live.
   if (!run.failed) {
     uint64_t credits = 0;
@@ -480,34 +424,18 @@ RunStats UpParEngine::RunQuery(const core::QuerySpec& query,
     registry->GetCounter(obs::metric::kChannelCreditsOutstanding)
         ->Add(credits);
   }
-  if (run.injector) {
-    registry->GetCounter(obs::metric::kFaultsInjected)
-        ->Add(run.injector->trace().size());
-    registry->GetCounter(obs::metric::kFaultTraceDigest)
-        ->Add(run.injector->trace_digest());
-  }
-  registry->GetCounter(obs::metric::kRecordsIn)->Add(run.records_in);
-  if (const auto& pool = run.fabric->buffer_pool();
-      pool.hits() + pool.misses() > 0) {
-    registry->GetGauge(obs::metric::kBufferPoolHitRate)->Set(pool.hit_rate());
-  }
   perf::Counters* senders =
       registry->GetCpu(obs::metric::kCpu, {{obs::kLabelRole, "sender"}});
   perf::Counters* receivers =
       registry->GetCpu(obs::metric::kCpu, {{obs::kLabelRole, "receiver"}});
-  obs::Counter* emitted = registry->GetCounter(obs::metric::kRecordsEmitted);
-  obs::Counter* checksum = registry->GetCounter(obs::metric::kResultChecksum);
+  std::vector<const core::ResultSink*> sinks;
   for (auto& s : run.senders) senders->Merge(s->cpu->counters());
   for (auto& c : run.consumers) {
     receivers->Merge(c->cpu->counters());
-    emitted->Add(c->sink.count());
-    checksum->Add(c->sink.checksum());
-    if (config.collect_rows) {
-      const auto& rows = c->sink.rows();
-      stats.rows.insert(stats.rows.end(), rows.begin(), rows.end());
-    }
+    sinks.push_back(&c->sink);
   }
-  telemetry.Finish(&stats);
+  scaffold.PublishJob({}, run.records_in, sinks, &stats);
+  scaffold.Finish(&stats);
   return stats;
 }
 

@@ -26,11 +26,6 @@ class UpParEngine : public Engine {
   using Engine::Run;  // the (query, workload, config) compatibility shim
 
   RunStats Run(const JobSpec& job) override;
-
- private:
-  RunStats RunQuery(const core::QuerySpec& query,
-                    const workloads::Workload& workload,
-                    const ClusterConfig& config);
 };
 
 }  // namespace slash::engines

@@ -1,6 +1,6 @@
 // Tests for the core streaming model: record wire format, window
-// assignment, vector-clock progress (property P1), join-pair evaluation,
-// the stateless pipeline, result sinks, and the sequential oracle.
+// assignment, join-pair evaluation, the stateless pipeline, result sinks,
+// and the sequential oracle.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -10,7 +10,6 @@
 #include "core/pipeline.h"
 #include "core/record.h"
 #include "core/result_sink.h"
-#include "core/vector_clock.h"
 #include "core/window.h"
 #include "perf/cost_model.h"
 #include "sim/simulator.h"
@@ -80,32 +79,6 @@ TEST(WindowTest, SessionBucketsUseHorizon) {
   EXPECT_EQ(w.BucketOf(1000), 1);
   // A session may extend one gap past the horizon end before triggering.
   EXPECT_EQ(w.TriggerWatermark(0), 1100);
-}
-
-TEST(VectorClockTest, MinTracksSlowestExecutor) {
-  VectorClock clock(3);
-  EXPECT_EQ(clock.Min(), kWatermarkMin);
-  clock.Update(0, 100);
-  clock.Update(1, 50);
-  clock.Update(2, 200);
-  EXPECT_EQ(clock.Min(), 50);
-  clock.Update(1, 300);
-  EXPECT_EQ(clock.Min(), 100);
-}
-
-TEST(VectorClockTest, UpdatesAreMonotonic) {
-  VectorClock clock(2);
-  clock.Update(0, 100);
-  clock.Update(0, 50);  // regression ignored (out-of-order channel delivery)
-  EXPECT_EQ(clock.Get(0), 100);
-}
-
-TEST(VectorClockTest, AllFinished) {
-  VectorClock clock(2);
-  clock.Update(0, kWatermarkMax);
-  EXPECT_FALSE(clock.AllFinished());
-  clock.Update(1, kWatermarkMax);
-  EXPECT_TRUE(clock.AllFinished());
 }
 
 TEST(JoinTest, TumblingCountsCrossProduct) {

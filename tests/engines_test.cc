@@ -5,9 +5,15 @@
 // node among re-partitioning-free designs).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <memory>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "core/oracle.h"
+#include "elastic/reconfig.h"
 #include "engines/flink_engine.h"
 #include "engines/lightsaber_engine.h"
 #include "engines/slash_engine.h"
@@ -132,17 +138,96 @@ TEST(LightSaberEngineTest, CmMatchesOracle) {
 TEST(LightSaberEngineTest, RejectsJoins) {
   workloads::Nb8Workload workload;
   LightSaberEngine engine;
-  EXPECT_DEATH(
-      engine.Run(workload.MakeQuery(), workload, SmallCluster(1, 2, 100)),
-      "does not support join");
+  const RunStats stats =
+      engine.Run(workload.MakeQuery(), workload, SmallCluster(1, 2, 100));
+  EXPECT_EQ(stats.status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(stats.status.message().find("join"), std::string::npos);
 }
 
 TEST(LightSaberEngineTest, RejectsMultiNode) {
   workloads::YsbWorkload workload;
   LightSaberEngine engine;
-  EXPECT_DEATH(
-      engine.Run(workload.MakeQuery(), workload, SmallCluster(2, 2, 100)),
-      "single-node");
+  const RunStats stats =
+      engine.Run(workload.MakeQuery(), workload, SmallCluster(2, 2, 100));
+  EXPECT_EQ(stats.status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(stats.status.message().find("single-node"), std::string::npos);
+}
+
+// Every engine rejects each setting it does not implement with a Status
+// before anything is built: no setting is silently ignored, none aborts
+// (a join on LightSaber and one worker per node on UpPar/Flink aborted on
+// a CHECK before).
+TEST(EngineSupportTest, UnsupportedSettingsReturnStatus) {
+  workloads::YsbWorkload ysb;
+  workloads::Nb8Workload nb8;
+  sim::FaultPlan faults;
+  faults.node_pauses.push_back({.at = kMillisecond, .node = 0,
+                                .duration = kMicrosecond});
+  elastic::ReconfigPlan reconfig;
+  reconfig.trigger.enabled = true;
+
+  struct Setting {
+    const char* name;
+    std::function<void(JobSpec*)> apply;
+    StatusCode code;
+    std::vector<std::string_view> unsupported_by;
+  };
+  const std::vector<std::string_view> network = {"RDMA UpPar",
+                                                 "Flink (IPoIB)"};
+  const std::vector<std::string_view> baselines = {
+      "RDMA UpPar", "Flink (IPoIB)", "LightSaber"};
+  const std::vector<Setting> settings = {
+      {"fault_plan", [&](JobSpec* j) { j->cluster.fault_plan = &faults; },
+       StatusCode::kUnimplemented, {"LightSaber"}},
+      {"health", [](JobSpec* j) { j->cluster.health.enabled = true; },
+       StatusCode::kUnimplemented, baselines},
+      {"reconfig", [&](JobSpec* j) { j->cluster.reconfig = &reconfig; },
+       StatusCode::kUnimplemented, baselines},
+      {"checkpoint", [](JobSpec* j) { j->config.checkpoint.enabled = true; },
+       StatusCode::kUnimplemented, {"RDMA UpPar", "LightSaber"}},
+      {"rdma_ingestion", [](JobSpec* j) { j->config.rdma_ingestion = true; },
+       StatusCode::kUnimplemented, baselines},
+      {"quota", [](JobSpec* j) { j->quota = 4; },
+       StatusCode::kUnimplemented, baselines},
+      {"join",
+       [&](JobSpec* j) {
+         j->query = nb8.MakeQuery();
+         j->sources = &nb8;
+       },
+       StatusCode::kInvalidArgument, {"LightSaber"}},
+      {"nodes=2", [](JobSpec* j) { j->cluster.nodes = 2; },
+       StatusCode::kInvalidArgument, {"LightSaber"}},
+      {"workers_per_node=1",
+       [](JobSpec* j) { j->cluster.workers_per_node = 1; },
+       StatusCode::kInvalidArgument, network},
+  };
+
+  // Slash implements every setting, so it has no row here.
+  UpParEngine uppar;
+  FlinkLikeEngine flink;
+  LightSaberEngine lightsaber;
+  int rejections = 0;
+  for (Engine* engine : std::vector<Engine*>{&uppar, &flink, &lightsaber}) {
+    for (const Setting& setting : settings) {
+      if (std::find(setting.unsupported_by.begin(),
+                    setting.unsupported_by.end(),
+                    engine->name()) == setting.unsupported_by.end()) {
+        continue;
+      }
+      const ClusterConfig cfg =
+          SmallCluster(engine == &lightsaber ? 1 : 2, 2, 100);
+      JobSpec job = MakeJobSpec("", ysb, cfg, JobConfig(cfg));
+      setting.apply(&job);
+      const RunStats stats = engine->Run(job);
+      EXPECT_EQ(stats.status.code(), setting.code)
+          << engine->name() << " / " << setting.name << ": "
+          << stats.status.ToString();
+      EXPECT_TRUE(stats.metrics.empty())
+          << engine->name() << " / " << setting.name << " built a run";
+      ++rejections;
+    }
+  }
+  EXPECT_EQ(rejections, 19);  // the whole capability table was exercised
 }
 
 TEST(EngineOrderingTest, SlashFastestOnYsb) {

@@ -30,12 +30,14 @@ function(slash_add_bench bench_src)
 endfunction()
 
 # slash_add_bench_gate(<bench target> <baseline.json> [ENV K=V...]
-#                      [ARGS arg...] [COMPARE_ARGS arg...]): a ctest (label
-# `bench`) that runs the bench with SLASH_BENCH_JSON set and diffs its
-# artifact against the committed baseline via tools/bench_compare.py, passing
-# COMPARE_ARGS through to it (see cmake/BenchGate.cmake).
+#                      [ARGS arg...] [COMPARE_ARGS arg...]
+#                      [MAX_RSS_MIB n]): a ctest (label `bench`) that runs
+# the bench with SLASH_BENCH_JSON set and diffs its artifact against the
+# committed baseline via tools/bench_compare.py, passing COMPARE_ARGS through
+# to it; MAX_RSS_MIB also fails the gate when the bench's peak resident set
+# exceeds n MiB (see cmake/BenchGate.cmake).
 function(slash_add_bench_gate bench_name baseline)
-  cmake_parse_arguments(ARG "" "" "ENV;ARGS;COMPARE_ARGS" ${ARGN})
+  cmake_parse_arguments(ARG "" "MAX_RSS_MIB" "ENV;ARGS;COMPARE_ARGS" ${ARGN})
   add_test(NAME bench_${bench_name}
     COMMAND ${CMAKE_COMMAND}
       -DBENCH=$<TARGET_FILE:${bench_name}>
@@ -46,6 +48,8 @@ function(slash_add_bench_gate bench_name baseline)
       "-DBENCH_ENV=${ARG_ENV}"
       "-DBENCH_ARGS=${ARG_ARGS}"
       "-DCOMPARE_ARGS=${ARG_COMPARE_ARGS}"
+      -DMAX_RSS_MIB=${ARG_MAX_RSS_MIB}
+      -DRSS_CEILING=${PROJECT_SOURCE_DIR}/tools/rss_ceiling.py
       -P ${PROJECT_SOURCE_DIR}/cmake/BenchGate.cmake)
   set_tests_properties(bench_${bench_name} PROPERTIES LABELS bench)
 endfunction()

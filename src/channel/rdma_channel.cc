@@ -437,6 +437,34 @@ void RdmaChannel::MarkCheckpoint() {
   for (sim::Event* observer : credit_observers_) observer->Notify();
 }
 
+void RdmaChannel::ReleaseMemory() {
+  SLASH_CHECK_MSG(broken_, "ReleaseMemory on an open channel");
+  if (staging_ == nullptr) return;
+  for (RetainedMessage& m : retained_) {
+    fabric_->buffer_pool().Put(std::move(m.bytes));
+  }
+  retained_.clear();
+  retained_bytes_ = 0;
+  rdma::ProtectionDomain* producer = fabric_->pd(producer_node_);
+  rdma::ProtectionDomain* consumer = fabric_->pd(consumer_node_);
+  if (recv_ring_ != nullptr) {
+    // The consumer endpoint is this flow's own (Create checks it).
+    flow_->consumer_endpoint()->DiscardRecvs();
+    producer->DeregisterRegion(send_staging_);
+    consumer->DeregisterRegion(recv_ring_);
+  }
+  producer->DeregisterRegion(staging_);
+  producer->DeregisterRegion(credit_mr_);
+  consumer->DeregisterRegion(queue_);
+  consumer->DeregisterRegion(credit_src_);
+  staging_ = nullptr;
+  credit_mr_ = nullptr;
+  queue_ = nullptr;
+  credit_src_ = nullptr;
+  send_staging_ = nullptr;
+  recv_ring_ = nullptr;
+}
+
 void RdmaChannel::DrainRecvRing(perf::CpuContext* cpu) {
   const uint64_t stride = config_.send_threshold;
   for (uint32_t i = 0; i < config_.credits; ++i) {
@@ -635,7 +663,9 @@ void RdmaChannel::PostExternalFooter(uint64_t msg) {
 }
 
 void RdmaChannel::OnCreditReturn() {
-  if (config_.quota != nullptr) {
+  // A closed channel already returned every charged credit to the quota
+  // (and its credit counter may be released).
+  if (config_.quota != nullptr && !broken_) {
     const uint64_t acked = released_acked();
     if (acked > quota_released_) {
       config_.quota->Release(acked - quota_released_);

@@ -361,6 +361,15 @@ class RdmaChannel {
   /// error completions are swallowed instead of spawning retries.
   void Abort(const Status& cause) { CloseChannel(cause); }
 
+  /// Frees a closed channel's memory when its attempt is torn down for
+  /// good: deregisters the staging, queue, credit and SEND-ring regions,
+  /// discards the receives posted into the ring, and returns the retained
+  /// replay copies to the fabric's buffer pool. Transfers already on the
+  /// wire still land (the fabric frees a region after its last delivery)
+  /// and fire this channel's listeners as before; every producer or
+  /// consumer call is invalid afterwards. Requires broken(); idempotent.
+  void ReleaseMemory();
+
   /// Credits currently held by the producer side: acquired slots whose
   /// release has not yet become visible. Zero after a fully drained run —
   /// the endurance tests assert this to prove no credit leaks under faults.

@@ -819,6 +819,11 @@ void BuildAttempt(FlinkRun* run, uint64_t round) {
     }
   }
 
+  // The torn-down attempt's consumers keep their cpu (its cycles are
+  // merged at the end) but drop their state: a stale Receiver checks
+  // halted() after every resume before it touches its partition.
+  for (auto& c : run->consumers) c->partition.reset();
+
   // Consumers (stable gids; heir placement after a crash).
   const size_t consumer_base = run->consumers.size();
   for (int gid = 0; gid < run->consumers_total(); ++gid) {

@@ -170,9 +170,11 @@ struct SlashRun {
   Nanos drained_at = 0;  // virtual time when the last worker exited
   std::vector<std::unique_ptr<RdmaChannel>> channels;
   size_t attempt_channel_start = 0;  // first channel of the current attempt
-  // All NodeStates ever built (coroutines of a torn-down attempt may still
-  // be unwinding and referencing theirs); `nodes` indexes the current
-  // attempt by physical node id, nullptr for dead nodes.
+  // Every NodeState ever built: a torn-down attempt's coroutines may still
+  // resume on theirs (only to see halted() and unwind), and PublishJobStats
+  // merges every attempt's worker_cpus. A rebuild frees the stale states'
+  // state backends (BuildAttempt). `nodes` indexes the current attempt by
+  // physical node id, nullptr for dead nodes.
   std::vector<std::unique_ptr<NodeState>> node_storage;
   std::vector<NodeState*> nodes;
   std::vector<std::unique_ptr<perf::CpuContext>> generator_cpus;
@@ -1421,6 +1423,16 @@ void BuildAttempt(SlashRun* run, uint64_t round) {
   const ClusterConfig& config = run->config;
   const uint64_t interval = run->interval();
   const int attempt = run->attempt;
+
+  // Free what the torn-down attempt owned. This runs from a scheduled event
+  // after the recovery delay, and a stale coroutine checks halted() after
+  // every resume before it touches its NodeState's backend; in-flight
+  // deliveries into the stale channels still land (the fabric frees a
+  // deregistered region after its last delivery).
+  for (auto& ns : run->node_storage) ns->ssb.reset();
+  for (size_t i = run->attempt_channel_start; i < run->channels.size(); ++i) {
+    run->channels[i]->ReleaseMemory();
+  }
   run->attempt_channel_start = run->channels.size();
 
   std::vector<NodeState*> nodes(config.nodes, nullptr);

@@ -450,24 +450,27 @@ void Fabric::ScheduleWriteDelivery(QpEndpoint* from, QpEndpoint* to,
   // write that was not materialized. The ack event fires strictly after the
   // delivery event and releases the flag.
   bool* delivered = AcquireFlag();
+  Hold(remote);
+  Hold(local.region);
   sim_->ScheduleAt(arrival, [=, this] {
     // A connection that errored while the message was in flight never
     // materializes it (the responder tears the RC context down). For
     // shared endpoints, either side erroring kills the transfer.
-    if (from->state_ == QpState::kError || to->state_ == QpState::kError) {
-      return;
+    if (from->state_ != QpState::kError && to->state_ != QpState::kError) {
+      *delivered = true;
+      std::memcpy(remote->data() + remote_offset, local.data(), len);
+      // RDMA WRITE fills memory from lower to higher addresses: the channel
+      // layer relies on this to poll the final footer byte (Sec. 6.3). In
+      // the simulation the whole message materializes atomically at
+      // `arrival`, which preserves exactly the "footer last" guarantee.
+      remote->NotifyRemoteWrite(remote_offset, len);
+      if (has_immediate) {
+        to->recv_cq().Push(Completion{wr_id, WorkType::kRecv, len, immediate,
+                                      /*has_immediate=*/true});
+      }
     }
-    *delivered = true;
-    std::memcpy(remote->data() + remote_offset, local.data(), len);
-    // RDMA WRITE fills memory from lower to higher addresses: the channel
-    // layer relies on this to poll the final footer byte (Sec. 6.3). In the
-    // simulation the whole message materializes atomically at `arrival`,
-    // which preserves exactly the "footer last" guarantee.
-    remote->NotifyRemoteWrite(remote_offset, len);
-    if (has_immediate) {
-      to->recv_cq().Push(Completion{wr_id, WorkType::kRecv, len, immediate,
-                                    /*has_immediate=*/true});
-    }
+    Unhold(remote);
+    Unhold(local.region);
   });
   // The sender's completion means "acked by the responder": one extra
   // latency after remote delivery.
@@ -540,18 +543,22 @@ Status Fabric::ExecuteRead(QpEndpoint* from, QpEndpoint* to, MemorySpan local,
       nic(from->node())->ReserveRx(resp_tx + lat, local.length);
 
   ++from->outstanding_;
-  sim_->ScheduleAt(resp_arrival, [=] {
+  Hold(remote);
+  Hold(local.region);
+  sim_->ScheduleAt(resp_arrival, [=, this] {
     --from->outstanding_;
     if (from->state_ == QpState::kError || to->state_ == QpState::kError) {
       // Connection died while the read was in flight.
       from->send_cq().Push(Completion{wr_id, WorkType::kRead, len, 0,
                                       /*has_immediate=*/false,
                                       WcStatus::kFlushErr});
-      return;
+    } else {
+      std::memcpy(local.data(), remote->data() + remote_offset, len);
+      local.region->NotifyRemoteWrite(local.offset, len);
+      from->send_cq().Push(Completion{wr_id, WorkType::kRead, len});
     }
-    std::memcpy(local.data(), remote->data() + remote_offset, len);
-    local.region->NotifyRemoteWrite(local.offset, len);
-    from->send_cq().Push(Completion{wr_id, WorkType::kRead, len});
+    Unhold(remote);
+    Unhold(local.region);
   });
   return Status::OK();
 }
@@ -617,15 +624,19 @@ Status Fabric::ExecuteSend(QpEndpoint* from, QpEndpoint* to, MemorySpan local,
 
   ++from->outstanding_;
   bool* delivered = AcquireFlag();
-  sim_->ScheduleAt(arrival, [=] {
-    if (from->state_ == QpState::kError || to->state_ == QpState::kError) {
-      return;  // lost mid-flight
+  Hold(recv.buffer.region);
+  Hold(local.region);
+  sim_->ScheduleAt(arrival, [=, this] {
+    // Lost mid-flight when either side errored meanwhile.
+    if (from->state_ != QpState::kError && to->state_ != QpState::kError) {
+      *delivered = true;
+      std::memcpy(recv.buffer.data(), local.data(), len);
+      recv.buffer.region->NotifyRemoteWrite(recv.buffer.offset, len);
+      to->recv_cq().Push(Completion{recv.wr_id, WorkType::kRecv, len,
+                                    immediate, has_immediate});
     }
-    *delivered = true;
-    std::memcpy(recv.buffer.data(), local.data(), len);
-    recv.buffer.region->NotifyRemoteWrite(recv.buffer.offset, len);
-    to->recv_cq().Push(Completion{recv.wr_id, WorkType::kRecv, len, immediate,
-                                  has_immediate});
+    Unhold(recv.buffer.region);
+    Unhold(local.region);
   });
   sim_->ScheduleAt(arrival + lat, [=, this] {
     --from->outstanding_;

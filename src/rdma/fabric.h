@@ -254,6 +254,11 @@ class Fabric : public sim::FaultTarget {
                              bool signaled, uint32_t immediate,
                              bool has_immediate, Nanos arrival, Nanos lat);
 
+  // In-flight holds on the regions a scheduled delivery touches: a region
+  // deregistered meanwhile is freed only after its last delivery fired.
+  void Hold(MemoryRegion* region) { pds_[region->node()]->Hold(region); }
+  void Unhold(MemoryRegion* region) { pds_[region->node()]->Unhold(region); }
+
   // The injector registered on the simulator, or nullptr (fault-free).
   sim::FaultInjector* injector() const { return sim_->fault_injector(); }
 

@@ -48,15 +48,33 @@ MemoryRegion* ProtectionDomain::RegisterRegion(uint64_t size) {
   SLASH_CHECK_GT(size, 0u);
   const uint32_t lkey = (*next_key_)++;
   const uint32_t rkey = (*next_key_)++;
-  regions_.push_back(std::make_unique<MemoryRegion>(node_, lkey, rkey, size));
-  by_rkey_.emplace(rkey, regions_.back().get());
+  auto region = std::make_unique<MemoryRegion>(node_, lkey, rkey, size);
+  MemoryRegion* mr = region.get();
+  by_rkey_.emplace(rkey, std::move(region));
   registered_bytes_ += size;
-  return regions_.back().get();
+  return mr;
+}
+
+void ProtectionDomain::DeregisterRegion(MemoryRegion* region) {
+  const auto it = by_rkey_.find(region->rkey_);
+  SLASH_CHECK_MSG(it != by_rkey_.end() && it->second.get() == region,
+                  "DeregisterRegion of a region not registered on node "
+                      << node_);
+  region->registered_ = false;
+  registered_bytes_ -= region->size_;
+  if (region->in_flight_ > 0) {
+    retired_.emplace(it->first, std::move(it->second));
+  }
+  by_rkey_.erase(it);
+}
+
+void ProtectionDomain::Free(MemoryRegion* region) {
+  retired_.erase(region->rkey_);
 }
 
 MemoryRegion* ProtectionDomain::FindByRkey(uint32_t rkey) const {
   const auto it = by_rkey_.find(rkey);
-  return it == by_rkey_.end() ? nullptr : it->second;
+  return it == by_rkey_.end() ? nullptr : it->second.get();
 }
 
 }  // namespace slash::rdma

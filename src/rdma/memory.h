@@ -64,12 +64,16 @@ class MemoryRegion {
   void NotifyRemoteWrite(uint64_t offset, uint64_t len);
 
  private:
+  friend class ProtectionDomain;
+
   int node_;
   uint32_t lkey_;
   uint32_t rkey_;
   uint64_t size_;
   std::unique_ptr<uint8_t[]> data_;
   std::vector<RemoteWriteListener> listeners_;
+  bool registered_ = true;
+  uint32_t in_flight_ = 0;  // scheduled fabric deliveries touching it
 };
 
 /// A span into a local registered region (ibv_sge analogue).
@@ -143,18 +147,46 @@ class ProtectionDomain {
   /// Registers a new region of `size` bytes. The domain owns the region.
   MemoryRegion* RegisterRegion(uint64_t size);
 
-  /// Looks up a region by remote key; nullptr if unknown. Used by the
-  /// fabric to resolve every one-sided access, so it is a hash lookup.
+  /// Deregisters `region` (ibv_dereg_mr analogue): its rkey stops resolving
+  /// and registered_bytes() drops at once. The memory is freed now if no
+  /// fabric delivery is in flight on the region, otherwise right after the
+  /// last one: a WRITE, READ or SEND posted before the call still lands
+  /// and notifies the region's listeners exactly as if it were registered.
+  /// The owner must not post new work on the region, nor keep receives
+  /// posted into it.
+  void DeregisterRegion(MemoryRegion* region);
+
+  /// Looks up a region by remote key; nullptr if unknown or deregistered.
+  /// Used by the fabric to resolve every one-sided access, so it is a hash
+  /// lookup.
   MemoryRegion* FindByRkey(uint32_t rkey) const;
 
   /// Total registered bytes on this node.
   uint64_t registered_bytes() const { return registered_bytes_; }
 
+  /// Regions whose memory is still allocated: the registered ones plus the
+  /// deregistered ones a delivery still holds.
+  size_t allocated_regions() const {
+    return by_rkey_.size() + retired_.size();
+  }
+
  private:
+  friend class Fabric;
+
+  // In-flight accounting: a delivery the fabric schedules to touch `region`
+  // holds it from posting until it fires. Every Unhold pairs with a Hold.
+  void Hold(MemoryRegion* region) { ++region->in_flight_; }
+  void Unhold(MemoryRegion* region) {
+    if (--region->in_flight_ == 0 && !region->registered_) Free(region);
+  }
+  // Frees a deregistered region once its last delivery fired.
+  void Free(MemoryRegion* region);
+
   int node_;
   uint32_t* next_key_;
-  std::vector<std::unique_ptr<MemoryRegion>> regions_;
-  std::unordered_map<uint32_t, MemoryRegion*> by_rkey_;
+  // Both maps own their regions, keyed by rkey.
+  std::unordered_map<uint32_t, std::unique_ptr<MemoryRegion>> by_rkey_;
+  std::unordered_map<uint32_t, std::unique_ptr<MemoryRegion>> retired_;
   uint64_t registered_bytes_ = 0;
 };
 

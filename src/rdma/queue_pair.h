@@ -179,6 +179,10 @@ class QpEndpoint {
   /// this fails: buffers must be posted to the node's shared receive queue.
   Status PostRecv(MemorySpan buffer, uint64_t wr_id);
 
+  /// Discards every posted receive buffer without a completion, as
+  /// destroying the QP does; their region may then be deregistered.
+  void DiscardRecvs() { recv_queue_.clear(); }
+
   /// Number of posted-but-unmatched receive buffers.
   size_t posted_recvs() const { return recv_queue_.size(); }
 

@@ -195,6 +195,42 @@ TEST(RdmaChannelTest, AdaptiveTransportMixedSizesStayFifoAndIntact) {
   EXPECT_EQ(h.sim.pending_tasks(), 0);
 }
 
+TEST(RdmaChannelTest, ReleaseMemoryFreesRegionsAfterInFlightTraffic) {
+  Harness h;
+  ChannelConfig cfg;
+  cfg.credits = 4;
+  cfg.slot_bytes = 4096;
+  cfg.send_threshold = 600;  // 2000B -> slot WRITE, 32B -> SEND frame
+  cfg.replay_buffer_slots = 8;
+  auto ch = RdmaChannel::Create(&h.fabric, 0, 1, cfg);
+  // Tear the channel down while one message of each transport is on the
+  // wire.
+  for (uint64_t len : {2000u, 32u}) {
+    SlotRef slot;
+    ASSERT_TRUE(ch->TryAcquire(&slot, &h.producer_cpu));
+    std::memset(slot.payload, 7, len);
+    ASSERT_TRUE(ch->Post(slot, len, 0, 0, &h.producer_cpu).ok());
+  }
+  EXPECT_EQ(ch->retained().size(), 2u);
+  ch->Abort(Status::Unavailable("attempt torn down"));
+  ch->ReleaseMemory();
+  ch->ReleaseMemory();  // idempotent
+  EXPECT_TRUE(ch->retained().empty());
+  EXPECT_EQ(ch->flow()->consumer_endpoint()->posted_recvs(), 0u);
+  for (int n : {0, 1}) {
+    EXPECT_EQ(h.fabric.pd(n)->registered_bytes(), 0u);
+    // The staging and SEND-staging sources (node 0) and the queue and ring
+    // destinations (node 1) are held until their deliveries fire.
+    EXPECT_EQ(h.fabric.pd(n)->allocated_regions(), 2u);
+  }
+  h.sim.Run();
+  for (int n : {0, 1}) EXPECT_EQ(h.fabric.pd(n)->allocated_regions(), 0u);
+  // The replay copies went back to the fabric's pool.
+  const uint64_t hits = h.fabric.buffer_pool().hits();
+  h.fabric.buffer_pool().Get(16);
+  EXPECT_EQ(h.fabric.buffer_pool().hits(), hits + 1);
+}
+
 TEST(RdmaChannelTest, PollOnEmptyChannelFailsAndChargesPause) {
   Harness h;
   ChannelConfig cfg;

@@ -783,26 +783,64 @@ INSTANTIATE_TEST_SUITE_P(
 // Every engine must replay byte-identically at equal seed: result checksum,
 // virtual-time makespan, and the full canonical metrics snapshot. The
 // fault and connection sweeps above cover Slash and UpPar; this sweep adds
-// LightSaber and fault-free Flink with aligned checkpoint barriers.
+// LightSaber and fault-free Flink with aligned checkpoint barriers, and two
+// Slash runs that rebuild their cluster mid-run (an elastic arc and a crash
+// recovery), so the release of a torn-down attempt's state backends and
+// channel memory replays twice in one process.
 
 // Engine under test: 0=Slash (local sources), 1=Slash (RDMA ingestion),
-// 2=UpPar, 3=Flink (checkpoint barriers on), 4=LightSaber (single node).
+// 2=UpPar, 3=Flink (checkpoint barriers on), 4=LightSaber (single node),
+// 5=Slash through a 2->4->2 elastic arc (checkpointing and health on),
+// 6=Slash with a mid-run node crash and recovery.
 class EngineReplaySweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(EngineReplaySweep, SameSeedReplaysByteIdentically) {
   const int engine_kind = GetParam();
+  const bool rebuilds = engine_kind == 5 || engine_kind == 6;
   workloads::YsbConfig ycfg;
   ycfg.key_range = 1000;
   workloads::YsbWorkload workload(ycfg);
 
-  auto run_once = [&]() -> engines::RunStats {
+  auto base_config = [&] {
     engines::ClusterConfig cfg;
     cfg.seed = 11;
-    cfg.nodes = engine_kind == 4 ? 1 : 3;
+    cfg.nodes = engine_kind == 4 ? 1 : rebuilds ? 4 : 3;
     cfg.workers_per_node = 2;
     cfg.records_per_worker = 2000;
     cfg.channel.slot_bytes = 16 * kKiB;
     cfg.collect_rows = false;
+    if (rebuilds) {
+      cfg.epoch_bytes = 64 * kKiB;
+      cfg.checkpoint.enabled = true;
+    }
+    return cfg;
+  };
+
+  // The rebuilding cases place their events at fractions of the static
+  // run's makespan.
+  elastic::ReconfigPlan plan;
+  sim::FaultPlan faults;
+  if (rebuilds) {
+    engines::SlashEngine engine;
+    const engines::RunStats clean =
+        engine.Run(workload.MakeQuery(), workload, base_config());
+    ASSERT_TRUE(clean.ok()) << clean.status.message();
+    const double makespan = double(clean.makespan());
+    if (engine_kind == 5) {
+      plan.initial_nodes = 2;
+      plan.min_active = 2;
+      plan.joins.push_back({.at = Nanos(makespan * 0.15), .node = 2});
+      plan.joins.push_back({.at = Nanos(makespan * 0.3), .node = 3});
+      plan.leaves.push_back({.at = Nanos(makespan * 0.6), .node = 3});
+      plan.leaves.push_back({.at = Nanos(makespan * 0.75), .node = 2});
+      ASSERT_TRUE(plan.Validate(4).ok());
+    } else {
+      faults.node_crashes.push_back({.at = Nanos(makespan * 0.5), .node = 1});
+    }
+  }
+
+  auto run_once = [&]() -> engines::RunStats {
+    engines::ClusterConfig cfg = base_config();
     switch (engine_kind) {
       case 0: {
         engines::SlashEngine engine;
@@ -822,6 +860,18 @@ TEST_P(EngineReplaySweep, SameSeedReplaysByteIdentically) {
         engines::FlinkLikeEngine engine;
         return engine.Run(workload.MakeQuery(), workload, cfg);
       }
+      case 5: {
+        cfg.reconfig = &plan;
+        cfg.health.enabled = true;
+        cfg.health.probe_timeout = 50 * kMicrosecond;
+        engines::SlashEngine engine;
+        return engine.Run(workload.MakeQuery(), workload, cfg);
+      }
+      case 6: {
+        cfg.fault_plan = &faults;
+        engines::SlashEngine engine;
+        return engine.Run(workload.MakeQuery(), workload, cfg);
+      }
       default: {
         engines::LightSaberEngine engine;
         return engine.Run(workload.MakeQuery(), workload, cfg);
@@ -830,8 +880,15 @@ TEST_P(EngineReplaySweep, SameSeedReplaysByteIdentically) {
   };
 
   const engines::RunStats first = run_once();
-  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(first.ok()) << first.status.message();
   EXPECT_GT(first.records_emitted(), 0u);
+  if (engine_kind == 5) {
+    EXPECT_EQ(first.elastic_joins(), 2u);
+    EXPECT_EQ(first.elastic_leaves(), 2u);
+  }
+  if (engine_kind == 6) {
+    EXPECT_EQ(first.recoveries(), 1u);
+  }
   const std::string first_json = first.metrics.ToJson();
   // The default channel config keeps the verbs-batching instruments
   // (doorbells, inline sends, transport choices) out of the snapshot.
@@ -846,14 +903,16 @@ TEST_P(EngineReplaySweep, SameSeedReplaysByteIdentically) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Engines, EngineReplaySweep,
-                         ::testing::Values(0, 1, 2, 3, 4),
+                         ::testing::Values(0, 1, 2, 3, 4, 5, 6),
                          [](const ::testing::TestParamInfo<int>& info) {
                            switch (info.param) {
                              case 0: return std::string("slash");
                              case 1: return std::string("slash_ingest");
                              case 2: return std::string("uppar");
                              case 3: return std::string("flink_ckpt");
-                             default: return std::string("lightsaber");
+                             case 4: return std::string("lightsaber");
+                             case 5: return std::string("slash_elastic");
+                             default: return std::string("slash_crash");
                            }
                          });
 

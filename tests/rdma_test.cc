@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "perf/cost_model.h"
@@ -71,6 +72,29 @@ TEST(MemoryTest, SpanValidation) {
   EXPECT_TRUE((MemorySpan{mr, 50, 50}).valid());
   EXPECT_FALSE((MemorySpan{mr, 50, 51}).valid());
   EXPECT_FALSE((MemorySpan{nullptr, 0, 0}).valid());
+}
+
+TEST(MemoryTest, DeregisterIdleRegionFreesIt) {
+  sim::Simulator sim;
+  Fabric fabric(&sim, TwoNodeConfig());
+  ProtectionDomain* pd = fabric.pd(0);
+  MemoryRegion* keep = pd->RegisterRegion(64);
+  MemoryRegion* mr = pd->RegisterRegion(4096);
+  const uint32_t rkey = mr->remote_key().rkey;
+  EXPECT_EQ(pd->registered_bytes(), 4096u + 64u);
+  EXPECT_EQ(pd->allocated_regions(), 2u);
+  pd->DeregisterRegion(mr);  // nothing in flight: freed at once
+  EXPECT_EQ(pd->registered_bytes(), 64u);
+  EXPECT_EQ(pd->FindByRkey(rkey), nullptr);
+  EXPECT_EQ(pd->allocated_regions(), 1u);
+  EXPECT_EQ(pd->FindByRkey(keep->remote_key().rkey), keep);
+  // A write aimed at the stale key is refused like any unknown key.
+  MemoryRegion* src = fabric.pd(1)->RegisterRegion(64);
+  QpPair qp = fabric.Connect(1, 0);
+  EXPECT_FALSE(qp.first
+                   ->PostWrite(MemorySpan{src, 0, 8}, RemoteKey{rkey}, 0, 1,
+                               /*signaled=*/true)
+                   .ok());
 }
 
 TEST(NicTest, TransferDurationMatchesBandwidth) {
@@ -143,6 +167,46 @@ TEST(QueuePairTest, OneSidedWriteMovesBytesAndSignals) {
   // Timing: 10B at 10 GB/s = 1ns tx, +1us wire, ack +1us = completion at
   // 2001ns, so the final sim time reflects the ack event.
   EXPECT_EQ(sim.now(), 2001);
+}
+
+TEST(QueuePairTest, WriteInFlightOutlivesDeregistration) {
+  // Deregistering both ends of a WRITE already on the wire: the bytes still
+  // land, the listener still fires, and the fabric frees each region only
+  // after that last delivery.
+  sim::Simulator sim;
+  Fabric fabric(&sim, TwoNodeConfig());
+  MemoryRegion* src = fabric.pd(0)->RegisterRegion(1024);
+  MemoryRegion* dst = fabric.pd(1)->RegisterRegion(1024);
+  QpPair qp = fabric.Connect(0, 1);
+  std::memcpy(src->data(), "late write", 10);
+  std::vector<uint8_t> landed;
+  bool listener_fired = false;
+  dst->AddRemoteWriteListener([&](uint64_t off, uint64_t len) {
+    listener_fired = true;
+    landed.assign(dst->data() + off, dst->data() + off + len);
+    EXPECT_EQ(fabric.pd(1)->allocated_regions(), 1u);  // still held
+  });
+  ASSERT_TRUE(qp.first
+                  ->PostWrite(MemorySpan{src, 0, 10}, dst->remote_key(),
+                              /*remote_offset=*/16, /*wr_id=*/3,
+                              /*signaled=*/true)
+                  .ok());
+  const uint32_t rkey = dst->remote_key().rkey;
+  fabric.pd(1)->DeregisterRegion(dst);
+  fabric.pd(0)->DeregisterRegion(src);
+  EXPECT_EQ(fabric.pd(1)->registered_bytes(), 0u);
+  EXPECT_EQ(fabric.pd(1)->FindByRkey(rkey), nullptr);
+  EXPECT_EQ(fabric.pd(1)->allocated_regions(), 1u);
+  EXPECT_EQ(fabric.pd(0)->allocated_regions(), 1u);
+  sim.Run();
+  EXPECT_TRUE(listener_fired);
+  EXPECT_EQ(std::string(landed.begin(), landed.end()), "late write");
+  EXPECT_EQ(fabric.pd(1)->allocated_regions(), 0u);
+  EXPECT_EQ(fabric.pd(0)->allocated_regions(), 0u);
+  Completion c;
+  ASSERT_TRUE(qp.first->send_cq().TryPoll(&c));
+  EXPECT_TRUE(c.ok());
+  EXPECT_EQ(c.wr_id, 3u);
 }
 
 TEST(QueuePairTest, UnsignaledWriteProducesNoCompletion) {

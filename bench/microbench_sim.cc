@@ -1,5 +1,5 @@
 // DES-kernel microbenchmarks: how many events per wall-clock second the
-// simulator core sustains, independent of any engine. Four hot paths:
+// simulator core sustains, independent of any engine. Five hot paths:
 //
 //   timer_storm      — callback events through the calendar wheel (many
 //                      interleaved strides, constant churn)
@@ -12,37 +12,29 @@
 //                      (metrics registry + enabled tracer) attached, to
 //                      bound the live-publish overhead
 //
-// Plus the vectorized-data-plane sweeps (virtual-time records/s, the
-// perf_opt acceptance metric for the columnar batch work):
+// Plus the doorbell-batching sweep (virtual-time messages/s, the verbs-level
+// batching behind the Fig. 8a/8b "Slash batched" series):
 //
-//   op_ysb               — YSB operator pipeline at operator batch widths
-//                          1/8/64/256: scalar interpreted charges at 1,
-//                          columnar kernels + kVec* charges above
 //   channel_echo_batched — credit-channel echo at doorbell batch widths
 //                          1/4/16 under a CPU-bound NIC shape, isolating
 //                          the verbs-side MMIO amortization
 //
-// Every benchmark reports events/s of host wall-clock time (the perf_opt
-// target metric) plus the kernel's pool hit rate; with SLASH_BENCH_JSON
-// set, the series lands in BENCH_microbench_sim.json.
+// The hot paths report events/s of host wall-clock time plus the kernel's
+// pool hit rate; with SLASH_BENCH_JSON set, every series lands in
+// BENCH_microbench_sim.json.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <cstring>
-#include <vector>
 
 #include "bench_util/harness.h"
 #include "channel/rdma_channel.h"
 #include "common/logging.h"
-#include "common/random.h"
-#include "core/record_batch.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "perf/cost_model.h"
 #include "rdma/fabric.h"
 #include "sim/simulator.h"
-#include "state/partition.h"
-#include "workloads/batch_kernels.h"
 
 namespace slash::bench {
 namespace {
@@ -210,96 +202,6 @@ void ChannelEchoObserved(benchmark::State& state) {
   ChannelEchoImpl(state, /*observed=*/true, "channel_echo_obs");
 }
 BENCHMARK(ChannelEchoObserved)->Iterations(1)->Unit(benchmark::kMillisecond);
-
-// --- Vectorized data plane sweeps --------------------------------------------
-
-// The YSB operator pipeline (filter 25% keep -> project -> window ->
-// probe -> RMW) over one virtual core, at a given columnar batch width.
-// batch = 1 is the interpreted scalar path with its per-record charges;
-// batch > 1 stages into a RecordBatch and runs the columnar kernels with
-// the kBatchSetup + kVec* charging. Identical state transitions either
-// way (tests/state_test.cc); only the charged instruction schedule — and
-// hence virtual-time throughput — differs.
-sim::Task OperatorPipeline(sim::Simulator* sim, perf::CpuContext* cpu,
-                           state::Partition* partition, uint32_t batch_size,
-                           uint64_t records) {
-  constexpr int64_t kWindow = 1000;
-  constexpr uint64_t kKeyRange = 10'000;
-  Rng rng(42);
-  core::RecordBatch batch(batch_size);
-  std::vector<int64_t> buckets(batch_size);
-  std::vector<state::StateKey> keys(batch_size);
-  auto flush = [&] {
-    if (batch.empty()) return;
-    const uint64_t n = batch.size();
-    const uint32_t survivors = workloads::YsbFilterProjectBatch(&batch);
-    workloads::AssignBucketsBatch(batch, kWindow, buckets.data());
-    workloads::BuildStateKeysBatch(batch, buckets.data(), keys.data());
-    partition->UpdateAggregateBatch(keys.data(), batch.values(), survivors);
-    workloads::ChargeVectorizedPipeline(cpu, n, survivors,
-                                        /*has_filter=*/true);
-    batch.Clear();
-  };
-  uint64_t since_sync = 0;
-  for (uint64_t i = 0; i < records; ++i) {
-    core::Record r;
-    r.timestamp = int64_t(i);
-    r.key = rng.NextBounded(kKeyRange);
-    r.value = int64_t(i % 4);  // YSB keeps value == 0: 25% survive
-    r.stream_id = 0;
-    cpu->CountRecords(1);
-    if (batch_size == 1) {
-      const bool keep = r.value == 0;
-      workloads::ChargeScalarPipeline(cpu, 1, keep ? 1 : 0,
-                                      /*has_filter=*/true);
-      if (keep) {
-        partition->UpdateAggregate({r.key, r.timestamp / kWindow}, 1);
-      }
-    } else {
-      batch.Append(r);
-      if (batch.full()) flush();
-    }
-    if (++since_sync >= 4096) {
-      since_sync = 0;
-      flush();
-      co_await cpu->Sync();
-    }
-  }
-  flush();
-  co_await cpu->Sync();
-  (void)sim;
-}
-
-void OperatorBatchSweep(benchmark::State& state, uint32_t batch_size) {
-  constexpr uint64_t kRecords = 200'000;
-  for (auto _ : state) {
-    sim::Simulator sim;
-    perf::CpuContext cpu(&sim, &perf::CostModel::Default());
-    state::PartitionConfig pcfg;
-    pcfg.kind = state::StateKind::kAggregate;
-    pcfg.lss_capacity = 1ULL << 22;
-    pcfg.index_buckets = 1ULL << 16;
-    state::Partition partition(0, pcfg);
-    sim.Spawn(
-        OperatorPipeline(&sim, &cpu, &partition, batch_size, kRecords));
-    const Nanos makespan = sim.Run();
-    SLASH_CHECK_EQ(sim.pending_tasks(), 0);
-    const double rate =
-        makespan > 0 ? double(kRecords) * 1e9 / double(makespan) : 0;
-    state.counters["rec/s_virtual"] = rate;
-    Table()->Add("op_ysb", std::to_string(batch_size), "records/s (virtual)",
-                 rate);
-  }
-}
-
-void OpYsbBatch1(benchmark::State& state) { OperatorBatchSweep(state, 1); }
-void OpYsbBatch8(benchmark::State& state) { OperatorBatchSweep(state, 8); }
-void OpYsbBatch64(benchmark::State& state) { OperatorBatchSweep(state, 64); }
-void OpYsbBatch256(benchmark::State& state) { OperatorBatchSweep(state, 256); }
-BENCHMARK(OpYsbBatch1)->Iterations(1)->Unit(benchmark::kMillisecond);
-BENCHMARK(OpYsbBatch8)->Iterations(1)->Unit(benchmark::kMillisecond);
-BENCHMARK(OpYsbBatch64)->Iterations(1)->Unit(benchmark::kMillisecond);
-BENCHMARK(OpYsbBatch256)->Iterations(1)->Unit(benchmark::kMillisecond);
 
 // Credit-channel echo at a given doorbell batch width, under a CPU-bound
 // shape: a fat pipe with negligible per-message wire overhead AND a credit

@@ -53,7 +53,6 @@ std::unique_ptr<RdmaChannel> RdmaChannel::Create(rdma::Fabric* fabric,
   channel->credit_src_ = fabric->pd(consumer_node)->RegisterRegion(64);
 
   channel->flow_ = fabric->OpenFlow(producer_node, consumer_node);
-  channel->external_spans_.assign(config.credits, rdma::MemorySpan{});
   channel->merged_run_len_.assign(config.credits, 1);
   channel->batched_mode_ = config.post_batch > 1 ||
                            config.inline_threshold > 0 ||
@@ -307,8 +306,7 @@ Status RdmaChannel::Flush(perf::CpuContext* cpu) {
           rdma::MemorySpan{send_staging_,
                            uint64_t(wr.slot) * config_.send_threshold,
                            frame_bytes},
-          MakeWrId(wr.msg, kWrSlot), /*signaled=*/false, /*immediate=*/0,
-          /*has_immediate=*/false, wr.inline_send);
+          MakeWrId(wr.msg, kWrSlot), /*signaled=*/false, wr.inline_send);
       if (status.ok()) {
         // A retried SEND falls back to a single-slot WRITE, so the run
         // length recorded for its slot must be 1 (not a stale merged run
@@ -366,62 +364,6 @@ Status RdmaChannel::Flush(perf::CpuContext* cpu) {
   }
   pending_.clear();
   return Status::OK();
-}
-
-Status RdmaChannel::PostExternal(rdma::MemorySpan payload, uint64_t user_tag,
-                                 int64_t watermark, perf::CpuContext* cpu) {
-  if (broken_) {
-    return Status::Unavailable("channel closed: " +
-                               std::string(channel_status_.message()));
-  }
-  if (!pending_.empty()) {
-    // External posts bypass the WR queue (zero-copy, always WRITE); drain
-    // queued slot posts first so the wire sees messages in order.
-    SLASH_RETURN_IF_ERROR(Flush(cpu));
-  }
-  if (!has_credit()) {
-    return Status::FailedPrecondition("no credit available");
-  }
-  if (config_.replay_buffer_slots > 0 &&
-      retained_.size() >= config_.replay_buffer_slots) {
-    return Status::FailedPrecondition("replay buffer full");
-  }
-  if (payload.length > payload_capacity()) {
-    return Status::InvalidArgument("payload exceeds slot capacity");
-  }
-  const uint32_t slot = static_cast<uint32_t>(acquired_count_ % config_.credits);
-  SLASH_CHECK_EQ(acquired_count_, sent_count_);  // no interleave with Post
-
-  SlotFooter footer;
-  footer.payload_len = static_cast<uint32_t>(payload.length);
-  footer.seq = static_cast<uint32_t>(sent_count_ / config_.credits + 1);
-  footer.user_tag = user_tag;
-  footer.watermark = watermark;
-  footer.send_time = sim_->now();
-  // The footer still goes through a (tiny) staging slot; the payload ships
-  // zero-copy from the external region (the LSS). The payload write is
-  // signaled and the footer is posted only once the payload completes: a
-  // dropped-and-retried payload must never race a footer that already
-  // landed, or the consumer would read a valid footer over garbage bytes.
-  WriteFooter(staging_->data() + FooterOffset(slot), footer);
-  external_spans_[slot] = payload;
-
-  if (config_.replay_buffer_slots > 0) {
-    RetainedMessage retained;
-    retained.bytes = fabric_->buffer_pool().Get(payload.length);
-    retained.bytes.assign(payload.data(), payload.data() + payload.length);
-    retained.user_tag = user_tag;
-    retained.watermark = watermark;
-    retained_bytes_ += payload.length;
-    retained_.push_back(std::move(retained));
-  }
-
-  cpu->Charge(perf::Op::kRdmaPost, 2);
-  ++acquired_count_;
-  ++sent_count_;
-  return flow_->PostToConsumer(payload, queue_->remote_key(), SlotOffset(slot),
-                               MakeWrId(sent_count_, kWrExtPayload),
-                               /*signaled=*/true);
 }
 
 void RdmaChannel::MarkCheckpoint() {
@@ -549,8 +491,6 @@ Status RdmaChannel::Release(const InboundBuffer& buffer,
 
 bool RdmaChannel::OnProducerCompletion(const rdma::Completion& c) {
   if (c.ok()) {
-    const WrKind kind = static_cast<WrKind>(c.wr_id % 4);
-    if (kind == kWrExtPayload) PostExternalFooter(c.wr_id / 4);
     retry_attempts_.erase(c.wr_id);
     return true;
   }
@@ -605,38 +545,22 @@ bool RdmaChannel::OnConsumerCompletion(const rdma::Completion& c) {
 
 void RdmaChannel::RetryPost(uint64_t wr_id) {
   if (broken_) return;
-  const WrKind kind = static_cast<WrKind>(wr_id % 4);
+  // Only slot transfers fail on the producer side (credit writes complete
+  // on the consumer's endpoint and retry through RetryCreditWrite).
+  SLASH_CHECK_EQ(wr_id % 4, uint64_t(kWrSlot));
   const uint64_t msg = wr_id / 4;
   const uint32_t slot = static_cast<uint32_t>((msg - 1) % config_.credits);
-  // The staging/external bytes for `msg` are intact: slots are not reused
-  // until the consumer releases them, and the consumer polls in order, so a
-  // lost message blocks release of its own slot.
-  Status status;
-  switch (kind) {
-    case kWrSlot: {
-      // A coalesced WRITE (doorbell batching) failed as one wire message:
-      // re-post the whole recorded span. Every covered slot's bytes are
-      // still intact — none of their credits can have returned, because
-      // the in-order consumer cannot poll past the lost message.
-      const uint64_t span = uint64_t(merged_run_len_[slot]) * config_.slot_bytes;
-      status = flow_->PostToConsumer(
-          rdma::MemorySpan{staging_, SlotOffset(slot), span},
-          queue_->remote_key(), SlotOffset(slot), wr_id, /*signaled=*/true);
-      break;
-    }
-    case kWrExtPayload:
-      status = flow_->PostToConsumer(external_spans_[slot],
-                                     queue_->remote_key(), SlotOffset(slot),
-                                     wr_id, /*signaled=*/true);
-      break;
-    case kWrExtFooter:
-      status = flow_->PostToConsumer(
-          rdma::MemorySpan{staging_, FooterOffset(slot), kFooterBytes},
-          queue_->remote_key(), FooterOffset(slot), wr_id, /*signaled=*/true);
-      break;
-    default:
-      SLASH_CHECK(false);
-  }
+  // The staging bytes for `msg` are intact: slots are not reused until the
+  // consumer releases them, and the consumer polls in order, so a lost
+  // message blocks release of its own slot. A coalesced WRITE (doorbell
+  // batching) failed as one wire message: re-post the whole recorded span.
+  // Every covered slot's bytes are still intact — none of their credits can
+  // have returned, because the in-order consumer cannot poll past the lost
+  // message.
+  const uint64_t span = uint64_t(merged_run_len_[slot]) * config_.slot_bytes;
+  const Status status = flow_->PostToConsumer(
+      rdma::MemorySpan{staging_, SlotOffset(slot), span}, queue_->remote_key(),
+      SlotOffset(slot), wr_id, /*signaled=*/true);
   if (!status.ok()) CloseChannel(status);
 }
 
@@ -649,16 +573,6 @@ void RdmaChannel::RetryCreditWrite() {
       rdma::MemorySpan{credit_src_, 0, 8}, credit_mr_->remote_key(),
       /*remote_offset=*/0, MakeWrId(released_count_, kWrCredit),
       /*signaled=*/true);
-  if (!status.ok()) CloseChannel(status);
-}
-
-void RdmaChannel::PostExternalFooter(uint64_t msg) {
-  if (broken_) return;
-  const uint32_t slot = static_cast<uint32_t>((msg - 1) % config_.credits);
-  Status status = flow_->PostToConsumer(
-      rdma::MemorySpan{staging_, FooterOffset(slot), kFooterBytes},
-      queue_->remote_key(), FooterOffset(slot), MakeWrId(msg, kWrExtFooter),
-      /*signaled=*/false);
   if (!status.ok()) CloseChannel(status);
 }
 

@@ -151,7 +151,9 @@ struct ChannelConfig {
   /// overhead instead of `post_batch` — the main reason batching wins at
   /// small buffer sizes. Message order and delivery semantics are
   /// unchanged. Producers that can go idle must Flush() before parking, or
-  /// queued messages never leave.
+  /// queued messages never leave. No engine producer does, so every engine
+  /// rejects post_batch > 1 with kUnimplemented (engines/engine.h,
+  /// AdmitJob); only channel-level harnesses (bench_util/transfer.h) batch.
   uint32_t post_batch = 1;
 
   /// Inline-send fast path: wire messages whose size is <= this are posted
@@ -274,14 +276,6 @@ class RdmaChannel {
   /// Slots must be posted in acquisition order.
   Status Post(const SlotRef& slot, uint64_t payload_len, uint64_t user_tag,
               int64_t watermark, perf::CpuContext* cpu);
-
-  /// Zero-copy variant used by the state backend (Sec. 7.2.1): ships
-  /// `payload` directly from an external registered region (the LSS) into
-  /// the next slot, then publishes the footer with a second, RC-ordered
-  /// write. Requires an available credit (TryAcquire-style flow applies:
-  /// call only when has_credit()).
-  Status PostExternal(rdma::MemorySpan payload, uint64_t user_tag,
-                      int64_t watermark, perf::CpuContext* cpu);
 
   /// Rings the doorbell for every queued work request (doorbell batching;
   /// no-op when nothing is queued). Charges one kRdmaDoorbell and posts
@@ -412,14 +406,14 @@ class RdmaChannel {
   uint64_t released_acked() const;  // producer-visible cumulative releases
 
   // Work-request id encoding: wr_id = message_number * 4 + kind. The kind
-  // tells the retry machinery what to re-post when a completion comes back
-  // with an error status; the message number locates the slot (and hence
-  // the still-intact bytes) in the staging queue.
+  // tells a slot transfer from a credit write; the message number locates
+  // the slot (and hence the still-intact bytes) in the staging queue when a
+  // completion comes back with an error status. Kinds 1 and 2 are unused;
+  // the stride stays 4 so wr_ids (and the traces that carry them) keep
+  // their values.
   enum WrKind : uint64_t {
-    kWrSlot = 0,        // Post(): one write of the whole slot
-    kWrExtPayload = 1,  // PostExternal(): zero-copy payload write
-    kWrExtFooter = 2,   // PostExternal(): footer write (after payload ack)
-    kWrCredit = 3,      // Release(): cumulative credit-counter write
+    kWrSlot = 0,    // Post()/Flush(): a WRITE or SEND of one or more slots
+    kWrCredit = 3,  // Release(): cumulative credit-counter write
   };
   static uint64_t MakeWrId(uint64_t msg, WrKind kind) {
     return msg * 4 + kind;
@@ -444,10 +438,6 @@ class RdmaChannel {
   // Producer-side reaction to the consumer's credit write: returns newly
   // acked credits to the tenant quota, then wakes parked producers.
   void OnCreditReturn();
-  // Posts the deferred footer of external message `msg` (after its payload
-  // was acked; keeps the footer-last guarantee even when transfers can be
-  // lost and re-sent out of order).
-  void PostExternalFooter(uint64_t msg);
 
   // Declares the channel permanently broken: wakes both sides, then fires
   // the close handler.
@@ -490,9 +480,6 @@ class RdmaChannel {
   uint64_t quota_released_ = 0;
   sim::Event credit_event_;
   std::vector<sim::Event*> credit_observers_;
-  // Zero-copy payload spans of in-flight external messages, indexed by
-  // slot; valid until the slot's credit returns (needed for retries).
-  std::vector<rdma::MemorySpan> external_spans_;
 
   // Verbs-level batching state. batched_mode_ is true when any batching
   // knob is set: Post() then charges the decomposed kRdmaWqeBuild +

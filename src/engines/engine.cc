@@ -263,6 +263,12 @@ Status AdmitJob(const EngineSupport& supports, const JobSpec& job,
     return Status::Unimplemented(
         "NIC-credit quotas require the Slash engine's channel accounting");
   }
+  if (config->channel.post_batch > 1) {
+    return Status::Unimplemented(
+        "doorbell batching (channel.post_batch > 1) strands queued work "
+        "requests in a producer that parks without Flush(), and no engine "
+        "flushes before parking");
+  }
   if (faults) {
     const int fabric_nodes =
         config->rdma_ingestion ? 2 * config->nodes : config->nodes;

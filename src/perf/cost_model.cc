@@ -141,32 +141,6 @@ std::array<OpCost, static_cast<size_t>(Op::kNumOps)> BuildDefaultCosts() {
   set(Op::kRdmaInlineCopyPerByte,
       {.instructions = 0.06, .cycles = {0.015, 0, 0, 0.045, 0}, .mem_bytes = 1});
 
-  // --- Vectorized operator path ----------------------------------------------
-  // Per-record costs inside a columnar micro-batch. Calibration: the tight
-  // loops retire ~4x fewer instructions per record than the interpreted
-  // scalar path (no per-record dispatch, predicated filters) and overlap
-  // index-probe DRAM misses via software prefetch, so the memory-bound
-  // component shrinks from dominant to partially hidden. DRAM traffic per
-  // record is unchanged — vectorization hides latency, not bytes.
-  set(Op::kBatchSetup, {.instructions = 25, .cycles = {12, 8, 2, 4, 4}});
-  set(Op::kVecRecordParse,
-      {.instructions = 1.2, .cycles = {0.45, 0, 0, 0.15, 0}});
-  set(Op::kVecFilterBranch,
-      {.instructions = 1.5, .cycles = {0.7, 0.1, 0, 0, 0}});
-  set(Op::kVecHashCompute, {.instructions = 2.5, .cycles = {0.9, 0, 0, 0, 0.1}});
-  set(Op::kVecIndexProbe, {.instructions = 4,
-                           .cycles = {1.0, 0.2, 0.1, 1.5, 0.2},
-                           .l1d_misses = 0.80,
-                           .l2d_misses = 0.65,
-                           .llc_misses = 0.55,
-                           .mem_bytes = 64});
-  set(Op::kVecStateRmw, {.instructions = 6,
-                         .cycles = {1.5, 0.2, 0.1, 5.5, 0.7},
-                         .l1d_misses = 0.95,
-                         .l2d_misses = 0.87,
-                         .llc_misses = 0.75,
-                         .mem_bytes = 128});
-
   return t;
 }
 

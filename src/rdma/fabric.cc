@@ -229,10 +229,9 @@ Status Flow::PostToProducer(MemorySpan local, RemoteKey rkey,
 }
 
 Status Flow::SendToConsumer(MemorySpan local, uint64_t wr_id, bool signaled,
-                            uint32_t immediate, bool has_immediate,
                             bool inline_send) {
   return fwd_from_->PostSendTo(fwd_to_, local, Tag(wr_id, /*reverse=*/false),
-                               signaled, immediate, has_immediate, inline_send);
+                               signaled, inline_send);
 }
 
 uint64_t Fabric::total_tx_bytes() const {
@@ -324,8 +323,7 @@ void Fabric::CrashNode(int node) {
   if (Srq* dead_srq = srq(node)) {
     for (const PostedRecv& recv : dead_srq->Flush()) {
       srq_transports_[node].target->recv_cq().Push(
-          Completion{recv.wr_id, WorkType::kRecv, 0, 0,
-                     /*has_immediate=*/false, WcStatus::kFlushErr});
+          Completion{recv.wr_id, WorkType::kRecv, 0, WcStatus::kFlushErr});
     }
   }
 }
@@ -370,16 +368,13 @@ void Fabric::FlushWr(QpEndpoint* from, WorkType type, uint64_t wr_id,
   ++from->outstanding_;
   sim_->ScheduleAt(sim_->now(), [from, type, wr_id, len] {
     --from->outstanding_;
-    from->send_cq().Push(Completion{wr_id, type, len, 0,
-                                    /*has_immediate=*/false,
-                                    WcStatus::kFlushErr});
+    from->send_cq().Push(Completion{wr_id, type, len, WcStatus::kFlushErr});
   });
 }
 
 Status Fabric::ExecuteWrite(QpEndpoint* from, QpEndpoint* to, MemorySpan local,
                             RemoteKey rkey, uint64_t remote_offset,
-                            uint64_t wr_id, bool signaled, uint32_t immediate,
-                            bool has_immediate, bool inline_send) {
+                            uint64_t wr_id, bool signaled, bool inline_send) {
   MemoryRegion* remote = pd(to->node())->FindByRkey(rkey.rkey);
   if (remote == nullptr) {
     return Status::NotFound("unknown rkey on destination node");
@@ -411,8 +406,7 @@ Status Fabric::ExecuteWrite(QpEndpoint* from, QpEndpoint* to, MemorySpan local,
       ++from->outstanding_;
       sim_->ScheduleAt(tx_end + inj->plan().drop_report_delay, [=] {
         --from->outstanding_;
-        from->send_cq().Push(Completion{wr_id, WorkType::kWrite, len, 0,
-                                        /*has_immediate=*/false,
+        from->send_cq().Push(Completion{wr_id, WorkType::kWrite, len,
                                         WcStatus::kRetryExceeded});
       });
       return Status::OK();
@@ -422,23 +416,21 @@ Status Fabric::ExecuteWrite(QpEndpoint* from, QpEndpoint* to, MemorySpan local,
                                 ->ReserveRx(tx_end + lat + fault.extra_delay,
                                             len);
       ScheduleWriteDelivery(from, to, remote, local, remote_offset, wr_id,
-                            signaled, immediate, has_immediate, arrival, lat);
+                            signaled, arrival, lat);
       return Status::OK();
     }
   }
 
   const Nanos arrival = nic(to->node())->ReserveRx(tx_end + lat, len);
   ScheduleWriteDelivery(from, to, remote, local, remote_offset, wr_id,
-                        signaled, immediate, has_immediate, arrival, lat);
+                        signaled, arrival, lat);
   return Status::OK();
 }
 
 void Fabric::ScheduleWriteDelivery(QpEndpoint* from, QpEndpoint* to,
                                    MemoryRegion* remote, MemorySpan local,
                                    uint64_t remote_offset, uint64_t wr_id,
-                                   bool signaled, uint32_t immediate,
-                                   bool has_immediate, Nanos arrival,
-                                   Nanos lat) {
+                                   bool signaled, Nanos arrival, Nanos lat) {
   ++from->outstanding_;
   // Capture the source bytes lazily at delivery time: RDMA reads the send
   // buffer via DMA as the message serializes, and our protocol layers never
@@ -464,10 +456,6 @@ void Fabric::ScheduleWriteDelivery(QpEndpoint* from, QpEndpoint* to,
       // the simulation the whole message materializes atomically at
       // `arrival`, which preserves exactly the "footer last" guarantee.
       remote->NotifyRemoteWrite(remote_offset, len);
-      if (has_immediate) {
-        to->recv_cq().Push(Completion{wr_id, WorkType::kRecv, len, immediate,
-                                      /*has_immediate=*/true});
-      }
     }
     Unhold(remote);
     Unhold(local.region);
@@ -479,8 +467,7 @@ void Fabric::ScheduleWriteDelivery(QpEndpoint* from, QpEndpoint* to,
     const bool ok = *delivered;
     ReleaseFlag(delivered);
     if (!ok || from->state_ == QpState::kError) {
-      from->send_cq().Push(Completion{wr_id, WorkType::kWrite, len, 0,
-                                      /*has_immediate=*/false,
+      from->send_cq().Push(Completion{wr_id, WorkType::kWrite, len,
                                       WcStatus::kFlushErr});
       return;
     }
@@ -523,8 +510,7 @@ Status Fabric::ExecuteRead(QpEndpoint* from, QpEndpoint* to, MemorySpan local,
       ++from->outstanding_;
       sim_->ScheduleAt(req_tx + inj->plan().drop_report_delay, [=] {
         --from->outstanding_;
-        from->send_cq().Push(Completion{wr_id, WorkType::kRead, len, 0,
-                                        /*has_immediate=*/false,
+        from->send_cq().Push(Completion{wr_id, WorkType::kRead, len,
                                         WcStatus::kRetryExceeded});
       });
       return Status::OK();
@@ -549,8 +535,7 @@ Status Fabric::ExecuteRead(QpEndpoint* from, QpEndpoint* to, MemorySpan local,
     --from->outstanding_;
     if (from->state_ == QpState::kError || to->state_ == QpState::kError) {
       // Connection died while the read was in flight.
-      from->send_cq().Push(Completion{wr_id, WorkType::kRead, len, 0,
-                                      /*has_immediate=*/false,
+      from->send_cq().Push(Completion{wr_id, WorkType::kRead, len,
                                       WcStatus::kFlushErr});
     } else {
       std::memcpy(local.data(), remote->data() + remote_offset, len);
@@ -564,8 +549,7 @@ Status Fabric::ExecuteRead(QpEndpoint* from, QpEndpoint* to, MemorySpan local,
 }
 
 Status Fabric::ExecuteSend(QpEndpoint* from, QpEndpoint* to, MemorySpan local,
-                           uint64_t wr_id, bool signaled, uint32_t immediate,
-                           bool has_immediate, bool inline_send) {
+                           uint64_t wr_id, bool signaled, bool inline_send) {
   if (from->state_ == QpState::kError || to->state_ == QpState::kError) {
     FlushWr(from, WorkType::kSend, wr_id, local.length);
     return Status::OK();
@@ -605,8 +589,7 @@ Status Fabric::ExecuteSend(QpEndpoint* from, QpEndpoint* to, MemorySpan local,
       ++from->outstanding_;
       sim_->ScheduleAt(tx_end + inj->plan().drop_report_delay, [=] {
         --from->outstanding_;
-        from->send_cq().Push(Completion{wr_id, WorkType::kSend, len, 0,
-                                        /*has_immediate=*/false,
+        from->send_cq().Push(Completion{wr_id, WorkType::kSend, len,
                                         WcStatus::kRetryExceeded});
       });
       return Status::OK();
@@ -632,8 +615,7 @@ Status Fabric::ExecuteSend(QpEndpoint* from, QpEndpoint* to, MemorySpan local,
       *delivered = true;
       std::memcpy(recv.buffer.data(), local.data(), len);
       recv.buffer.region->NotifyRemoteWrite(recv.buffer.offset, len);
-      to->recv_cq().Push(Completion{recv.wr_id, WorkType::kRecv, len,
-                                    immediate, has_immediate});
+      to->recv_cq().Push(Completion{recv.wr_id, WorkType::kRecv, len});
     }
     Unhold(recv.buffer.region);
     Unhold(local.region);
@@ -643,8 +625,7 @@ Status Fabric::ExecuteSend(QpEndpoint* from, QpEndpoint* to, MemorySpan local,
     const bool ok = *delivered;
     ReleaseFlag(delivered);
     if (!ok || from->state_ == QpState::kError) {
-      from->send_cq().Push(Completion{wr_id, WorkType::kSend, len, 0,
-                                      /*has_immediate=*/false,
+      from->send_cq().Push(Completion{wr_id, WorkType::kSend, len,
                                       WcStatus::kFlushErr});
       return;
     }

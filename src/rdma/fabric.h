@@ -91,7 +91,6 @@ class Flow {
   /// Two-sided send, producer side -> consumer node (consumes a posted
   /// receive: the consumer endpoint's private FIFO, or its node SRQ).
   Status SendToConsumer(MemorySpan local, uint64_t wr_id, bool signaled,
-                        uint32_t immediate = 0, bool has_immediate = false,
                         bool inline_send = false);
 
   /// Handlers for completions of work this flow posted (producer-direction
@@ -233,13 +232,11 @@ class Fabric : public sim::FaultTarget {
   // connected QPs, the flow's destination for hub endpoints).
   Status ExecuteWrite(QpEndpoint* from, QpEndpoint* to, MemorySpan local,
                       RemoteKey rkey, uint64_t remote_offset, uint64_t wr_id,
-                      bool signaled, uint32_t immediate, bool has_immediate,
-                      bool inline_send = false);
+                      bool signaled, bool inline_send);
   Status ExecuteRead(QpEndpoint* from, QpEndpoint* to, MemorySpan local,
                      RemoteKey rkey, uint64_t remote_offset, uint64_t wr_id);
   Status ExecuteSend(QpEndpoint* from, QpEndpoint* to, MemorySpan local,
-                     uint64_t wr_id, bool signaled, uint32_t immediate,
-                     bool has_immediate, bool inline_send = false);
+                     uint64_t wr_id, bool signaled, bool inline_send);
 
   // Schedules an immediate flush completion for a WR posted while (or
   // delivered after) the QP entered the error state. Error completions are
@@ -251,8 +248,7 @@ class Fabric : public sim::FaultTarget {
   void ScheduleWriteDelivery(QpEndpoint* from, QpEndpoint* to,
                              MemoryRegion* remote, MemorySpan local,
                              uint64_t remote_offset, uint64_t wr_id,
-                             bool signaled, uint32_t immediate,
-                             bool has_immediate, Nanos arrival, Nanos lat);
+                             bool signaled, Nanos arrival, Nanos lat);
 
   // In-flight holds on the regions a scheduled delivery touches: a region
   // deregistered meanwhile is freed only after its last delivery fired.

@@ -61,13 +61,6 @@ Status QpEndpoint::PostWrite(MemorySpan local, RemoteKey rkey,
   return PostWriteTo(peer_, local, rkey, remote_offset, wr_id, signaled);
 }
 
-Status QpEndpoint::PostWriteWithImm(MemorySpan local, RemoteKey rkey,
-                                    uint64_t remote_offset, uint64_t wr_id,
-                                    bool signaled, uint32_t immediate) {
-  return PostWriteWithImmTo(peer_, local, rkey, remote_offset, wr_id, signaled,
-                            immediate);
-}
-
 Status QpEndpoint::PostWriteTo(QpEndpoint* to, MemorySpan local, RemoteKey rkey,
                                uint64_t remote_offset, uint64_t wr_id,
                                bool signaled, bool inline_send) {
@@ -76,21 +69,7 @@ Status QpEndpoint::PostWriteTo(QpEndpoint* to, MemorySpan local, RemoteKey rkey,
   }
   SLASH_RETURN_IF_ERROR(ValidateLocal(local));
   return fabric_->ExecuteWrite(this, to, local, rkey, remote_offset, wr_id,
-                               signaled, 0, /*has_immediate=*/false,
-                               inline_send);
-}
-
-Status QpEndpoint::PostWriteWithImmTo(QpEndpoint* to, MemorySpan local,
-                                      RemoteKey rkey, uint64_t remote_offset,
-                                      uint64_t wr_id, bool signaled,
-                                      uint32_t immediate) {
-  if (to == nullptr) {
-    return Status::InvalidArgument("endpoint has no destination");
-  }
-  SLASH_RETURN_IF_ERROR(ValidateLocal(local));
-  return fabric_->ExecuteWrite(this, to, local, rkey, remote_offset, wr_id,
-                               signaled, immediate, /*has_immediate=*/true,
-                               /*inline_send=*/false);
+                               signaled, inline_send);
 }
 
 Status QpEndpoint::PostRead(MemorySpan local, RemoteKey rkey,
@@ -102,20 +81,17 @@ Status QpEndpoint::PostRead(MemorySpan local, RemoteKey rkey,
   return fabric_->ExecuteRead(this, peer_, local, rkey, remote_offset, wr_id);
 }
 
-Status QpEndpoint::PostSend(MemorySpan local, uint64_t wr_id, bool signaled,
-                            uint32_t immediate, bool has_immediate) {
-  return PostSendTo(peer_, local, wr_id, signaled, immediate, has_immediate);
+Status QpEndpoint::PostSend(MemorySpan local, uint64_t wr_id, bool signaled) {
+  return PostSendTo(peer_, local, wr_id, signaled);
 }
 
 Status QpEndpoint::PostSendTo(QpEndpoint* to, MemorySpan local, uint64_t wr_id,
-                              bool signaled, uint32_t immediate,
-                              bool has_immediate, bool inline_send) {
+                              bool signaled, bool inline_send) {
   if (to == nullptr) {
     return Status::InvalidArgument("endpoint has no destination");
   }
   SLASH_RETURN_IF_ERROR(ValidateLocal(local));
-  return fabric_->ExecuteSend(this, to, local, wr_id, signaled, immediate,
-                              has_immediate, inline_send);
+  return fabric_->ExecuteSend(this, to, local, wr_id, signaled, inline_send);
 }
 
 void QpEndpoint::EnterErrorState() {
@@ -126,8 +102,8 @@ void QpEndpoint::EnterErrorState() {
   while (!recv_queue_.empty()) {
     const PostedRecv recv = recv_queue_.front();
     recv_queue_.pop_front();
-    recv_cq_->Push(Completion{recv.wr_id, WorkType::kRecv, 0, 0,
-                              /*has_immediate=*/false, WcStatus::kFlushErr});
+    recv_cq_->Push(Completion{recv.wr_id, WorkType::kRecv, 0,
+                              WcStatus::kFlushErr});
   }
 }
 

@@ -3,7 +3,7 @@
 //
 // Supported verbs, matching what the paper's protocol needs (Sec. 6):
 //  * RDMA WRITE (one-sided, push): passive receiver; bytes land in the
-//    target region; optional immediate value generates a receive completion.
+//    target region and no receive completion is generated.
 //  * RDMA READ (one-sided, pull): full network round-trip, used by the
 //    verbs ablation (bench/ablation_verbs).
 //  * SEND/RECV (two-sided): receiver must pre-post buffers.
@@ -64,8 +64,6 @@ struct Completion {
   uint64_t wr_id = 0;
   WorkType type = WorkType::kWrite;
   uint64_t byte_len = 0;
-  uint32_t immediate = 0;
-  bool has_immediate = false;
   WcStatus status = WcStatus::kSuccess;
 
   bool ok() const { return status == WcStatus::kSuccess; }
@@ -142,12 +140,6 @@ class QpEndpoint {
   Status PostWrite(MemorySpan local, RemoteKey rkey, uint64_t remote_offset,
                    uint64_t wr_id, bool signaled);
 
-  /// Like PostWrite, but additionally delivers a kRecv completion carrying
-  /// `immediate` to the peer's receive CQ (RDMA WRITE_WITH_IMM).
-  Status PostWriteWithImm(MemorySpan local, RemoteKey rkey,
-                          uint64_t remote_offset, uint64_t wr_id,
-                          bool signaled, uint32_t immediate);
-
   /// One-sided read of the peer region (rkey, remote_offset, local.length)
   /// into `local`. Costs a full round-trip; completion is always signaled.
   Status PostRead(MemorySpan local, RemoteKey rkey, uint64_t remote_offset,
@@ -155,8 +147,7 @@ class QpEndpoint {
 
   /// Two-sided send of `local` to the peer, consuming the peer's oldest
   /// posted receive buffer.
-  Status PostSend(MemorySpan local, uint64_t wr_id, bool signaled,
-                  uint32_t immediate = 0, bool has_immediate = false);
+  Status PostSend(MemorySpan local, uint64_t wr_id, bool signaled);
 
   /// Explicit-destination variants of the verbs, used by flows over shared
   /// (hub) endpoints, where one endpoint carries traffic to many
@@ -168,12 +159,8 @@ class QpEndpoint {
   Status PostWriteTo(QpEndpoint* to, MemorySpan local, RemoteKey rkey,
                      uint64_t remote_offset, uint64_t wr_id, bool signaled,
                      bool inline_send = false);
-  Status PostWriteWithImmTo(QpEndpoint* to, MemorySpan local, RemoteKey rkey,
-                            uint64_t remote_offset, uint64_t wr_id,
-                            bool signaled, uint32_t immediate);
   Status PostSendTo(QpEndpoint* to, MemorySpan local, uint64_t wr_id,
-                    bool signaled, uint32_t immediate = 0,
-                    bool has_immediate = false, bool inline_send = false);
+                    bool signaled, bool inline_send = false);
 
   /// Posts a receive buffer for inbound SENDs. On an SRQ-attached endpoint
   /// this fails: buffers must be posted to the node's shared receive queue.

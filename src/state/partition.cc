@@ -128,52 +128,6 @@ void Partition::UpdateAggregate(StateKey k, int64_t value) {
   AtomicMaxI64(&s->max, value);
 }
 
-void Partition::UpdateAggregateBatch(const StateKey* keys,
-                                     const int64_t* values, size_t n) {
-  SLASH_CHECK(config_.kind == StateKind::kAggregate);
-  constexpr size_t kStride = 16;
-  KeyHash hashes[kStride];
-  uint64_t heads[kStride];
-  for (size_t base = 0; base < n; base += kStride) {
-    const size_t count = std::min(kStride, n - base);
-    for (size_t i = 0; i < count; ++i) {
-      hashes[i] = HashStateKey(keys[base + i]);
-    }
-    // Warm the index buckets for the whole stride; the chain walk below
-    // then starts from resident cache lines. Chain entries found here may
-    // be superseded by a concurrent insert, so the per-element path still
-    // verifies and falls back to the scalar RMW/insert.
-    index_.FindBatch(hashes, count, heads);
-    for (size_t i = 0; i < count; ++i) {
-      const StateKey k = keys[base + i];
-      uint64_t addr = heads[i];
-      while (addr != HashIndex::kInvalidAddress) {
-        const EntryHeader* header = lss_.HeaderAt(addr);
-        if ((header->flags & kEntryTombstone) == 0 && header->key == k.key &&
-            header->bucket == k.bucket) {
-          break;
-        }
-        addr = header->prev;
-      }
-      if (addr == HashIndex::kInvalidAddress) {
-        UpdateAggregate(k, values[base + i]);  // insert path (rare)
-        continue;
-      }
-      SLASH_CHECK_MSG(lss_.Mutable(addr),
-                      "RMW on read-only LSS region (epoch transfer in flight)");
-      auto* s =
-          reinterpret_cast<AggState*>(lss_.At(addr) + sizeof(EntryHeader));
-      const int64_t value = values[base + i];
-      std::atomic_ref<int64_t>(s->sum).fetch_add(value,
-                                                 std::memory_order_relaxed);
-      std::atomic_ref<int64_t>(s->count).fetch_add(1,
-                                                   std::memory_order_relaxed);
-      AtomicMinI64(&s->min, value);
-      AtomicMaxI64(&s->max, value);
-    }
-  }
-}
-
 void Partition::MergeAggregate(StateKey k, const AggState& delta) {
   SLASH_CHECK(config_.kind == StateKind::kAggregate);
   uint64_t addr = FindEntry(k);

@@ -200,9 +200,11 @@ TEST(EngineSupportTest, UnsupportedSettingsReturnStatus) {
       {"workers_per_node=1",
        [](JobSpec* j) { j->cluster.workers_per_node = 1; },
        StatusCode::kInvalidArgument, network},
+      {"post_batch=4", [](JobSpec* j) { j->config.channel.post_batch = 4; },
+       StatusCode::kUnimplemented, baselines},
   };
 
-  // Slash implements every setting, so it has no row here.
+  // Slash rejects only post_batch > 1 (SlashEngineTest covers it).
   UpParEngine uppar;
   FlinkLikeEngine flink;
   LightSaberEngine lightsaber;
@@ -227,7 +229,7 @@ TEST(EngineSupportTest, UnsupportedSettingsReturnStatus) {
       ++rejections;
     }
   }
-  EXPECT_EQ(rejections, 19);  // the whole capability table was exercised
+  EXPECT_EQ(rejections, 22);  // the whole capability table was exercised
 }
 
 TEST(EngineOrderingTest, SlashFastestOnYsb) {

@@ -126,6 +126,73 @@ TEST(FaultInjectionTest, DroppedTransferRetriedAtExactBackoffTime) {
   EXPECT_EQ(h.injector->dropped_transfers(), 1u);
 }
 
+// Doorbell batching coalesces queued WRITEs to adjacent slots into one
+// wire message, so a lost transfer is a whole run of slots: the retry must
+// re-post the recorded span, not just the slot its wr_id names.
+sim::Task BatchedProducer(RdmaChannel* ch, int count, perf::CpuContext* cpu) {
+  for (int i = 0; i < count; ++i) {
+    SlotRef slot;
+    while (!ch->TryAcquire(&slot, cpu)) {
+      co_await ch->credit_event().Wait();
+    }
+    const uint64_t len = 100 + uint64_t(i) * 37 % 3000;
+    std::memset(slot.payload, i % 251, len);
+    SLASH_CHECK(ch->Post(slot, len, uint64_t(i), int64_t(i), cpu).ok());
+    co_await cpu->Sync();
+  }
+  SLASH_CHECK(ch->Flush(cpu).ok());
+}
+
+sim::Task CheckedConsumer(RdmaChannel* ch, int count, perf::CpuContext* cpu,
+                          std::vector<uint64_t>* tags) {
+  for (int i = 0; i < count; ++i) {
+    InboundBuffer buffer;
+    while (!ch->TryPoll(&buffer, cpu)) {
+      if (ch->broken()) co_return;
+      co_await ch->data_event().Wait();
+    }
+    const uint64_t tag = buffer.user_tag;
+    EXPECT_EQ(buffer.payload_len, 100 + tag * 37 % 3000) << "message " << tag;
+    bool intact = true;
+    for (uint64_t b = 0; b < buffer.payload_len; ++b) {
+      intact &= buffer.payload[b] == tag % 251;
+    }
+    EXPECT_TRUE(intact) << "message " << tag;
+    tags->push_back(tag);
+    SLASH_CHECK(ch->Release(buffer, cpu).ok());
+  }
+}
+
+TEST(FaultInjectionTest, DroppedCoalescedWriteRetriedAsWholeSpan) {
+  constexpr int kMessages = 64;
+  sim::FaultPlan plan;
+  plan.drop_rules.push_back({.from = 5 * kMicrosecond,
+                             .until = 0,  // forever
+                             .src_node = 0,
+                             .dst_node = 1,
+                             .probability = 1.0,
+                             .max_drops = 1});
+  FaultHarness h(plan);
+  ChannelConfig cfg;
+  cfg.credits = 8;
+  cfg.slot_bytes = 4 * kKiB;
+  cfg.post_batch = 4;
+  auto ch = RdmaChannel::Create(h.fabric.get(), 0, 1, cfg);
+
+  std::vector<uint64_t> tags;
+  h.sim.Spawn(BatchedProducer(ch.get(), kMessages, h.producer_cpu.get()));
+  h.sim.Spawn(
+      CheckedConsumer(ch.get(), kMessages, h.consumer_cpu.get(), &tags));
+  h.sim.Run();
+
+  EXPECT_EQ(h.sim.pending_tasks(), 0);
+  EXPECT_EQ(h.injector->dropped_transfers(), 1u);
+  EXPECT_GE(ch->retries(), 1u);
+  EXPECT_FALSE(ch->broken());
+  ASSERT_EQ(tags.size(), size_t(kMessages));
+  for (int i = 0; i < kMessages; ++i) EXPECT_EQ(tags[i], uint64_t(i));
+}
+
 TEST(FaultInjectionTest, DelayedTransferArrivesExactlyLater) {
   const Nanos kExtra = 25 * kMicrosecond;
   sim::FaultPlan plan;

@@ -1,9 +1,9 @@
 // Cross-module property sweeps (TEST_P): log-store wrap/resize/truncate
 // invariants under randomized operation sequences, socket flow-control
-// under window/message-size combinations, zero-copy external posts
-// across credit configurations, and engine determinism under injected
-// faults. These complement the per-module unit tests with randomized,
-// parameterized coverage of the invariants the protocols rely on.
+// under window/message-size combinations, and engine determinism under
+// injected faults. These complement the per-module unit tests with
+// randomized, parameterized coverage of the invariants the protocols rely
+// on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,7 +14,6 @@
 #include <tuple>
 #include <vector>
 
-#include "channel/rdma_channel.h"
 #include "common/random.h"
 #include "elastic/reconfig.h"
 #include "engines/flink_engine.h"
@@ -252,80 +251,6 @@ INSTANTIATE_TEST_SUITE_P(
       return "w" + std::to_string(std::get<0>(info.param)) + "_m" +
              std::to_string(std::get<1>(info.param)) + "_n" +
              std::to_string(std::get<2>(info.param));
-    });
-
-// --- Zero-copy external posts across credit configurations -------------------
-
-using ExternalParam = std::tuple<int /*credits*/, int /*payloads*/>;
-
-class ExternalPostSweep : public ::testing::TestWithParam<ExternalParam> {};
-
-sim::Task ExternalProducer(channel::RdmaChannel* ch, rdma::MemoryRegion* lss,
-                           int count, perf::CpuContext* cpu) {
-  for (int i = 0; i < count; ++i) {
-    while (!ch->has_credit()) {
-      co_await ch->credit_event().Wait();
-    }
-    const uint64_t len = 100 + uint64_t(i % 400);
-    const uint64_t off = (uint64_t(i) * 512) % (lss->size() - 512);
-    std::memset(lss->data() + off, i % 251, len);
-    SLASH_CHECK(ch->PostExternal(rdma::MemorySpan{lss, off, len},
-                                 uint64_t(i), int64_t(i), cpu)
-                    .ok());
-    co_await cpu->Sync();
-  }
-}
-
-sim::Task ExternalConsumer(channel::RdmaChannel* ch, int count,
-                           std::vector<uint64_t>* tags,
-                           perf::CpuContext* cpu) {
-  for (int i = 0; i < count; ++i) {
-    channel::InboundBuffer buffer;
-    while (!ch->TryPoll(&buffer, cpu)) {
-      co_await ch->data_event().Wait();
-    }
-    EXPECT_EQ(buffer.payload_len, 100 + uint64_t(buffer.user_tag % 400));
-    bool intact = true;
-    for (uint64_t b = 0; b < buffer.payload_len; ++b) {
-      intact &= buffer.payload[b] == buffer.user_tag % 251;
-    }
-    EXPECT_TRUE(intact) << "payload " << buffer.user_tag;
-    tags->push_back(buffer.user_tag);
-    SLASH_CHECK(ch->Release(buffer, cpu).ok());
-    co_await cpu->Sync();
-  }
-}
-
-TEST_P(ExternalPostSweep, ZeroCopyPostsStayFifoAndIntact) {
-  const auto [credits, payloads] = GetParam();
-  sim::Simulator sim;
-  rdma::FabricConfig fcfg;
-  fcfg.nodes = 2;
-  rdma::Fabric fabric(&sim, fcfg);
-  channel::ChannelConfig ccfg;
-  ccfg.credits = uint32_t(credits);
-  ccfg.slot_bytes = 4 * kKiB;
-  auto ch = channel::RdmaChannel::Create(&fabric, 0, 1, ccfg);
-  rdma::MemoryRegion* lss = fabric.pd(0)->RegisterRegion(1 * kMiB);
-  perf::CpuContext tx(&sim, &perf::CostModel::Default());
-  perf::CpuContext rx(&sim, &perf::CostModel::Default());
-
-  std::vector<uint64_t> tags;
-  sim.Spawn(ExternalProducer(ch.get(), lss, payloads, &tx));
-  sim.Spawn(ExternalConsumer(ch.get(), payloads, &tags, &rx));
-  sim.Run();
-  ASSERT_EQ(sim.pending_tasks(), 0);
-  ASSERT_EQ(tags.size(), size_t(payloads));
-  for (int i = 0; i < payloads; ++i) ASSERT_EQ(tags[i], uint64_t(i));
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Credits, ExternalPostSweep,
-    ::testing::Combine(::testing::Values(1, 3, 8, 32),
-                       ::testing::Values(5, 64)),
-    [](const ::testing::TestParamInfo<ExternalParam>& info) {
-      return "c" + std::to_string(std::get<0>(info.param)) + "_n" +
-             std::to_string(std::get<1>(info.param));
     });
 
 // --- Fault-plan determinism across engines -----------------------------------

@@ -225,25 +225,6 @@ TEST(QueuePairTest, UnsignaledWriteProducesNoCompletion) {
   EXPECT_EQ(qp.first->outstanding(), 0);
 }
 
-TEST(QueuePairTest, WriteWithImmediateDeliversRecvCompletion) {
-  sim::Simulator sim;
-  Fabric fabric(&sim, TwoNodeConfig());
-  MemoryRegion* src = fabric.pd(0)->RegisterRegion(64);
-  MemoryRegion* dst = fabric.pd(1)->RegisterRegion(64);
-  QpPair qp = fabric.Connect(0, 1);
-  ASSERT_TRUE(qp.first
-                  ->PostWriteWithImm(MemorySpan{src, 0, 32},
-                                     dst->remote_key(), 0, 9,
-                                     /*signaled=*/false, /*immediate=*/1234)
-                  .ok());
-  sim.Run();
-  Completion c;
-  ASSERT_TRUE(qp.second->recv_cq().TryPoll(&c));
-  EXPECT_EQ(c.immediate, 1234u);
-  EXPECT_TRUE(c.has_immediate);
-  EXPECT_EQ(c.byte_len, 32u);
-}
-
 TEST(QueuePairTest, WritesCompleteInOrder) {
   sim::Simulator sim;
   Fabric fabric(&sim, TwoNodeConfig());

@@ -130,6 +130,24 @@ TEST(SlashEngineTest, CountersAccumulatePerRole) {
   EXPECT_GT(stats.memory_bandwidth_gbytes_per_sec(), 0);
 }
 
+// Doorbell batching queues work requests until a Flush(), and no engine
+// producer flushes before it parks on anything but credits, so a
+// checkpointed run with post_batch = 4 would strand its queued posts and
+// deadlock. The engine rejects the setting before building anything.
+TEST(SlashEngineTest, DoorbellBatchingReturnsStatus) {
+  workloads::YsbWorkload workload;
+  ClusterConfig cfg = SmallCluster(2, 2, 3000);
+  cfg.seed = 11;
+  cfg.checkpoint.enabled = true;
+  cfg.channel.post_batch = 4;
+  SlashEngine engine;
+  const RunStats stats = engine.Run(workload.MakeQuery(), workload, cfg);
+  EXPECT_EQ(stats.status.code(), StatusCode::kUnimplemented)
+      << stats.status.ToString();
+  EXPECT_NE(stats.status.message().find("post_batch"), std::string::npos);
+  EXPECT_TRUE(stats.metrics.empty());
+}
+
 TEST(SlashEngineTest, RdmaIngestionMatchesOracle) {
   // Fig. 1 architecture: sources stream over RDMA channels from dedicated
   // source nodes. Results must be identical to local-memory ingestion.

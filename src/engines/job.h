@@ -150,7 +150,9 @@ struct ClusterConfig {
   /// Records deserialized per scheduling quantum of a worker coroutine.
   uint64_t source_batch = 512;
 
-  /// State backend sizing.
+  /// State backend sizing. The LSS starts at `state_lss_capacity` and
+  /// grows; each partition's hash index starts small and grows to at most
+  /// `state_index_buckets` buckets.
   uint64_t state_lss_capacity = 1ULL << 20;
   size_t state_index_buckets = 1ULL << 14;
 
@@ -194,7 +196,7 @@ struct JobConfig {
   uint64_t epoch_bytes = 4 * kMiB;
   uint64_t source_batch = 512;
   uint64_t state_lss_capacity = 1ULL << 20;
-  size_t state_index_buckets = 1ULL << 14;
+  size_t state_index_buckets = 1ULL << 14;  // maximum buckets per partition
   uint64_t seed = 42;
   core::ExecutionStrategy execution = core::ExecutionStrategy::kInterpreted;
   bool rdma_ingestion = false;

@@ -7,11 +7,8 @@
 namespace slash::state {
 
 HashIndex::HashIndex(size_t bucket_count)
-    : buckets_(bucket_count),
-      dirty_((bucket_count + 63) / 64, 0),
-      segments_(std::make_unique_for_overwrite<Bucket*[]>(kMaxSegments)) {
-  SLASH_CHECK_MSG(bucket_count != 0 && (bucket_count & (bucket_count - 1)) == 0,
-                  "bucket count must be a power of two");
+    : segments_(std::make_unique_for_overwrite<Bucket*[]>(kMaxSegments)) {
+  Resize(bucket_count);
 }
 
 HashIndex::~HashIndex() {
@@ -30,6 +27,16 @@ void HashIndex::Clear() {
     dirty_[w] = 0;
   }
   overflow_used_.store(0, std::memory_order_relaxed);
+  claims_.store(0, std::memory_order_relaxed);
+}
+
+void HashIndex::Resize(size_t bucket_count) {
+  SLASH_CHECK_MSG(bucket_count != 0 && (bucket_count & (bucket_count - 1)) == 0,
+                  "bucket count must be a power of two");
+  buckets_ = std::vector<Bucket>(bucket_count);
+  dirty_.assign((bucket_count + 63) / 64, 0);
+  overflow_used_.store(0, std::memory_order_relaxed);
+  claims_.store(0, std::memory_order_relaxed);
 }
 
 HashIndex::Bucket* HashIndex::ExtendChainLocked(Bucket* tail) {
@@ -153,6 +160,9 @@ bool HashIndex::CompareExchangeHead(KeyHash h, uint64_t expected,
         locked_slot->store(Pack(h.tag, desired), std::memory_order_release);
         const size_t home = h.bucket_hash & (buckets_.size() - 1);
         dirty_[home / 64] |= 1ULL << (home % 64);
+        // The lock serializes claims, so a plain increment suffices.
+        claims_.store(claims_.load(std::memory_order_relaxed) + 1,
+                      std::memory_order_relaxed);
         overflow_lock_.clear(std::memory_order_release);
         *observed = desired;
         return true;

@@ -11,9 +11,11 @@
 //
 // Thread-safety: entry slots are atomics updated with compare-exchange, so
 // concurrent inserts/updates from multiple worker threads are safe (the
-// paper's executors concurrently update shared partition state). Overflow
-// bucket allocation takes a small spinlock (rare path). Clear() requires
-// external quiescence.
+// paper's executors concurrently update shared partition state). Fresh slot
+// claims and overflow bucket allocation take a small spinlock (rare path),
+// which also guards the dirty-bucket bitmap and counts the claim. Clear()
+// and Resize() require external quiescence: no Find or CompareExchangeHead
+// may run concurrently with them.
 #ifndef SLASH_STATE_HASH_INDEX_H_
 #define SLASH_STATE_HASH_INDEX_H_
 
@@ -57,8 +59,17 @@ class HashIndex {
 
   /// Removes all entries. Resets only the home buckets claimed since the
   /// last Clear(), so its cost follows the keys inserted, not the bucket
-  /// count. Requires external quiescence.
+  /// count. Keeps the bucket count. Requires external quiescence.
   void Clear();
+
+  /// Removes all entries and re-sizes the index to `bucket_count` buckets
+  /// (a power of two). Overflow segments are kept for reuse. The caller
+  /// re-inserts whatever should stay indexed. Requires external quiescence.
+  void Resize(size_t bucket_count);
+
+  /// Slots claimed since the last Clear() or Resize(): one per (bucket,
+  /// tag) group inserted, so the partition can size the index by load.
+  size_t claims() const { return claims_.load(std::memory_order_relaxed); }
 
   size_t bucket_count() const { return buckets_.size(); }
   size_t overflow_count() const {
@@ -123,6 +134,7 @@ class HashIndex {
   std::unique_ptr<Bucket*[]> segments_;
   size_t segments_allocated_ = 0;  // guarded by overflow_lock_
   std::atomic<size_t> overflow_used_{0};
+  std::atomic<size_t> claims_{0};  // written under overflow_lock_
   std::atomic_flag overflow_lock_ = ATOMIC_FLAG_INIT;
 };
 

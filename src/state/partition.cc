@@ -41,7 +41,7 @@ void AtomicMaxI64(int64_t* target, int64_t value) {
 Partition::Partition(int id, const PartitionConfig& config)
     : id_(id),
       config_(config),
-      index_(config.index_buckets),
+      index_(std::min(config.index_buckets, kInitialIndexBuckets)),
       lss_(config.lss_capacity) {}
 
 uint64_t Partition::FindEntry(StateKey k) const {
@@ -62,6 +62,10 @@ uint64_t Partition::InsertEntry(StateKey k, uint16_t stream_id,
                                 uint16_t flags, uint32_t value_len,
                                 const std::function<void(uint8_t*)>& init,
                                 bool* inserted) {
+  if (index_.claims() >= kIndexClaimsPerBucket * index_.bucket_count() &&
+      index_.bucket_count() < config_.index_buckets) {
+    GrowIndex();
+  }
   const KeyHash h = HashStateKey(k);
   // Log allocation is serialized by a spinlock (insertion is the rare path
   // for aggregates; the common per-record RMW never reaches here).
@@ -105,6 +109,20 @@ uint64_t Partition::InsertEntry(StateKey k, uint16_t stream_id,
     }
     // Lost the race; `head` now holds the observed chain head. Loop.
   }
+}
+
+void Partition::GrowIndex() {
+  index_.Resize(2 * index_.bucket_count());
+  lss_.ForEachEntry(live_from_, lss_.tail(),
+                    [this](uint64_t addr, const EntryHeader& entry) {
+                      if (entry.flags & kEntryTombstone) return;
+                      const KeyHash h = HashStateKey({entry.key, entry.bucket});
+                      uint64_t head = index_.Find(h);
+                      lss_.HeaderAt(addr)->prev = head;
+                      const bool linked =
+                          index_.CompareExchangeHead(h, head, addr, &head);
+                      SLASH_CHECK(linked);
+                    });
 }
 
 void Partition::UpdateAggregate(StateKey k, int64_t value) {

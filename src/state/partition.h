@@ -15,10 +15,18 @@
 //  * Append state (holistic windows / joins): one log entry per observed
 //    record, chained per (key, bucket) through the hash index.
 //
+// The hash index grows with the load, like the LSS: it starts at
+// kInitialIndexBuckets (one 4 KiB page) and doubles, up to
+// PartitionConfig::index_buckets, once the slots it has claimed reach
+// kIndexClaimsPerBucket per bucket. Growing re-links every live entry.
+//
 // Thread-safety: concurrent UpdateAggregate/Append/Merge* calls are safe
 // (atomic RMW on values, CAS on chain heads, spinlock only on log
-// allocation). Scans, serialization, Reset and tombstoning require
-// quiescence, which Slash's epoch protocol provides by construction.
+// allocation) as long as none of them grows the index, which requires
+// quiescence like the LSS's own resize. Every engine runs its workers as
+// coroutines on the one-threaded event loop, so that always holds there.
+// Scans, serialization, Reset and tombstoning require quiescence, which
+// Slash's epoch protocol provides by construction.
 #ifndef SLASH_STATE_PARTITION_H_
 #define SLASH_STATE_PARTITION_H_
 
@@ -59,7 +67,7 @@ inline KeyHash HashStateKey(const StateKey& k) {
 struct PartitionConfig {
   StateKind kind = StateKind::kAggregate;
   uint64_t lss_capacity = 1ULL << 20;   // grows adaptively
-  size_t index_buckets = 1ULL << 12;
+  size_t index_buckets = 1ULL << 12;    // maximum buckets; grows to it on load
 };
 
 class Partition {
@@ -68,6 +76,11 @@ class Partition {
 
   Partition(const Partition&) = delete;
   Partition& operator=(const Partition&) = delete;
+
+  /// Index geometry: the initial bucket count (capped by index_buckets)
+  /// and the claims per bucket at which an insert first doubles it.
+  static constexpr size_t kInitialIndexBuckets = 64;
+  static constexpr size_t kIndexClaimsPerBucket = 4;
 
   int id() const { return id_; }
   StateKind kind() const { return config_.kind; }
@@ -162,6 +175,7 @@ class Partition {
   uint64_t live_bytes() const { return lss_.live_bytes(); }
   uint64_t entry_count() const { return entry_count_.load(std::memory_order_relaxed); }
   const LogStructuredStore& lss() const { return lss_; }
+  size_t index_bucket_count() const { return index_.bucket_count(); }
 
  private:
   // Finds the live entry for `k`, walking the chain from the index head.
@@ -175,6 +189,11 @@ class Partition {
                        uint32_t value_len,
                        const std::function<void(uint8_t*)>& init,
                        bool* inserted);
+
+  // Doubles the index and re-links every live entry from the log, oldest
+  // first, so each chain stays newest-first and tombstones drop out.
+  // Requires quiescence.
+  void GrowIndex();
 
   int id_;
   PartitionConfig config_;

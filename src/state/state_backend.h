@@ -33,7 +33,7 @@ struct SsbConfig {
   int nodes = 2;
   StateKind kind = StateKind::kAggregate;
   uint64_t lss_capacity = 1ULL << 20;
-  size_t index_buckets = 1ULL << 12;
+  size_t index_buckets = 1ULL << 12;  // maximum buckets per partition
   /// Epoch length: an executor triggers a synchronization after processing
   /// this many input bytes (paper Sec. 8.1.1: 64 MiB). Window triggers may
   /// end an epoch ahead of time.

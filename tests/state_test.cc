@@ -248,6 +248,66 @@ TEST(HashIndexTest, ClearAfterOverflowBehavesLikeFresh) {
   }
 }
 
+// Inserts `key` with value `key + 1`, chaining behind the current head.
+void InsertKey(HashIndex* index, uint64_t key) {
+  const KeyHash h = HashKey(key);
+  uint64_t expected = index->Find(h);
+  uint64_t observed;
+  while (!index->CompareExchangeHead(h, expected, key + 1, &observed)) {
+    expected = observed;
+  }
+}
+
+// claims() counts fresh slot claims, one per occupied slot, not CAS updates
+// of an established head; Clear() zeroes it and keeps the bucket count.
+TEST(HashIndexTest, ClaimsCountFreshSlotsUntilClear) {
+  HashIndex index(8);  // 56 home slots: 300 keys also claim overflow slots
+  EXPECT_EQ(index.claims(), 0u);
+  for (uint64_t k = 0; k < 300; ++k) InsertKey(&index, k);
+  ASSERT_GT(index.overflow_count(), 0u);
+  const size_t claimed = index.claims();
+  EXPECT_EQ(claimed, index.size());
+  EXPECT_GT(claimed, 290u);  // 16-bit tags: (bucket, tag) groups rarely merge
+  for (uint64_t k = 0; k < 300; ++k) InsertKey(&index, k);  // updates only
+  EXPECT_EQ(index.claims(), claimed);
+  index.Clear();
+  EXPECT_EQ(index.claims(), 0u);
+  EXPECT_EQ(index.bucket_count(), 8u);
+  InsertKey(&index, 7);
+  EXPECT_EQ(index.claims(), 1u);
+}
+
+// Resize() empties the index at the new bucket count, in either direction,
+// and reuses its overflow segments.
+TEST(HashIndexTest, ResizeEmptiesAndRebuckets) {
+  HashIndex index(4);
+  for (const size_t buckets : {size_t{4}, size_t{256}, size_t{2}}) {
+    if (buckets != index.bucket_count()) {
+      index.Resize(buckets);
+      EXPECT_EQ(index.bucket_count(), buckets);
+      EXPECT_EQ(index.size(), 0u);
+      EXPECT_EQ(index.claims(), 0u);
+      EXPECT_EQ(index.overflow_count(), 0u);
+      EXPECT_EQ(index.Find(HashKey(3)), HashIndex::kInvalidAddress);
+    }
+    std::map<std::pair<uint64_t, uint16_t>, uint64_t> group_head;
+    for (uint64_t k = 0; k < 200; ++k) {
+      InsertKey(&index, k);
+      const KeyHash h = HashKey(k);
+      group_head[std::make_pair(h.bucket_hash & (buckets - 1), h.tag)] = k + 1;
+    }
+    EXPECT_EQ(index.size(), group_head.size());
+    EXPECT_EQ(index.claims(), group_head.size());
+    EXPECT_EQ(index.overflow_count() > 0, buckets < 32) << buckets;
+    for (uint64_t k = 0; k < 200; ++k) {
+      const KeyHash h = HashKey(k);
+      EXPECT_EQ(index.Find(h),
+                group_head[std::make_pair(h.bucket_hash & (buckets - 1), h.tag)]);
+    }
+  }
+  EXPECT_DEATH(index.Resize(48), "power of two");
+}
+
 // The destructor frees exactly the segments it allocated: none, or several
 // (each segment holds 1024 overflow buckets), including reused ones.
 TEST(HashIndexTest, DestroysWithZeroOrSeveralSegments) {
@@ -335,6 +395,11 @@ TEST(PartitionTest, ConcurrentRmwFromRealThreads) {
   constexpr int kThreads = 4;
   constexpr int kUpdates = 20000;
   constexpr uint64_t kKeys = 64;
+  // The keys stay below the index's first growth threshold, so the threads
+  // race on slot claims and chain-head CAS, never on a growth (which, like
+  // an LSS resize, requires quiescence).
+  static_assert(kKeys < Partition::kIndexClaimsPerBucket *
+                            Partition::kInitialIndexBuckets);
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&p, t] {
@@ -351,6 +416,175 @@ TEST(PartitionTest, ConcurrentRmwFromRealThreads) {
     if (p.LookupAggregate({k, 0}, &s)) total += s.count;
   }
   EXPECT_EQ(total, int64_t(kThreads) * kUpdates);
+  EXPECT_EQ(p.index_bucket_count(), Partition::kInitialIndexBuckets);
+}
+
+// The index starts at kInitialIndexBuckets (or index_buckets when that is
+// smaller), doubles once the claims reach kIndexClaimsPerBucket per bucket,
+// stops at index_buckets, and keeps its size across Reset.
+TEST(PartitionTest, IndexGrowsWithClaimsUpToMaximum) {
+  PartitionConfig small = SmallAggConfig();
+  small.index_buckets = 16;
+  EXPECT_EQ(Partition(0, small).index_bucket_count(), 16u);
+
+  PartitionConfig cfg = SmallAggConfig();
+  cfg.index_buckets = 256;
+  Partition p(0, cfg);
+  constexpr size_t kFirst = Partition::kInitialIndexBuckets;
+  ASSERT_EQ(p.index_bucket_count(), kFirst);
+  const uint64_t threshold = Partition::kIndexClaimsPerBucket * kFirst;
+  for (uint64_t k = 0; k < threshold; ++k) p.UpdateAggregate({k, 0}, 1);
+  EXPECT_EQ(p.index_bucket_count(), kFirst);  // grows on the next insert
+  p.UpdateAggregate({0, 0}, 1);               // an update claims nothing
+  EXPECT_EQ(p.index_bucket_count(), kFirst);
+  p.UpdateAggregate({threshold, 0}, 1);
+  EXPECT_EQ(p.index_bucket_count(), 2 * kFirst);
+  for (uint64_t k = threshold + 1; k < 5000; ++k) p.UpdateAggregate({k, 0}, 1);
+  EXPECT_EQ(p.index_bucket_count(), 256u);
+  for (uint64_t k = 0; k < 5000; ++k) {
+    AggState s;
+    ASSERT_TRUE(p.LookupAggregate({k, 0}, &s)) << k;
+    EXPECT_EQ(s.count, k == 0 ? 2 : 1) << k;
+  }
+  p.Reset();
+  EXPECT_EQ(p.index_bucket_count(), 256u);
+  AggState s;
+  EXPECT_FALSE(p.LookupAggregate({1, 0}, &s));
+}
+
+// Growing re-links each chain from the log in address order, so a key's
+// appends stay newest-first, and tombstoned entries stay invisible.
+TEST(PartitionTest, IndexGrowthKeepsAppendOrderAndTombstones) {
+  PartitionConfig cfg = SmallAppendConfig();
+  cfg.index_buckets = 1024;
+  Partition p(0, cfg);
+  for (uint8_t i = 0; i < 200; ++i) {
+    p.Append({7, 1}, i % 3, &i, 1);
+    p.Append({8, 0}, 0, &i, 1);  // dies below
+    for (uint64_t filler = 0; filler < 8; ++filler) {
+      p.Append({1000 + uint64_t(i) * 8 + filler, 2}, 0, &i, 1);
+    }
+  }
+  ASSERT_EQ(p.TombstoneBucketsUpTo(0), 200u);
+  const uint8_t zero = 0;
+  for (uint64_t k = 0; k < 2000; ++k) p.Append({5000 + k, 3}, 0, &zero, 1);
+  EXPECT_GE(p.index_bucket_count(), 512u);
+  AppendSet set;
+  p.CollectAppends({7, 1}, &set);
+  ASSERT_EQ(set.size(), 200u);
+  for (size_t j = 0; j < 200; ++j) {
+    const uint8_t i = uint8_t(199 - j);
+    EXPECT_EQ(set.elements()[j], (AppendElement{uint16_t(i % 3), {i}})) << j;
+  }
+  AppendSet dead;
+  p.CollectAppends({8, 0}, &dead);
+  EXPECT_EQ(dead.size(), 0u);
+}
+
+// A partition whose index grows from kInitialIndexBuckets must be
+// observably identical to one capped there, which never grows: the index
+// decides where chains live, never what a lookup, collect, scan or
+// serialization returns. Random operation sequences over both state kinds
+// cross several doublings, with tombstones, resets and merged deltas.
+TEST(PartitionTest, GrowingIndexMatchesFixedIndex) {
+  constexpr size_t kFirst = Partition::kInitialIndexBuckets;
+  for (const StateKind kind : {StateKind::kAggregate, StateKind::kAppend}) {
+    for (const uint64_t seed : {1u, 2u, 3u}) {
+      SCOPED_TRACE(testing::Message() << "kind " << int(kind) << " seed "
+                                      << seed);
+      PartitionConfig cfg;
+      cfg.kind = kind;
+      cfg.lss_capacity = 1 << 12;
+      cfg.index_buckets = 1 << 12;
+      Partition grow(0, cfg);
+      cfg.index_buckets = kFirst;
+      Partition fixed(0, cfg);
+      Rng rng(seed);
+      int64_t low = 0;  // buckets below it have been tombstoned
+      size_t doublings = 0;
+      size_t last_buckets = grow.index_bucket_count();
+
+      auto random_key = [&] {
+        return StateKey{rng.NextBounded(3000), low + int64_t(rng.NextBounded(4))};
+      };
+      auto mutate = [&](Partition* p, StateKey k, int64_t v) {
+        if (kind == StateKind::kAggregate) {
+          p->UpdateAggregate(k, v);
+        } else {
+          const uint8_t bytes[2] = {uint8_t(v), uint8_t(v >> 8)};
+          p->Append(k, uint16_t(v & 3), bytes, 1 + uint32_t(v & 1));
+        }
+      };
+      auto expect_same_lookup = [&](StateKey k) {
+        if (kind == StateKind::kAggregate) {
+          AggState a, b;
+          const bool found = grow.LookupAggregate(k, &a);
+          ASSERT_EQ(found, fixed.LookupAggregate(k, &b));
+          if (found) EXPECT_EQ(a, b);
+        } else {
+          AppendSet a, b;
+          grow.CollectAppends(k, &a);
+          fixed.CollectAppends(k, &b);
+          EXPECT_EQ(a.elements(), b.elements());  // same order too
+        }
+      };
+      auto expect_same_snapshot = [&] {
+        std::vector<uint8_t> a, b;
+        EXPECT_EQ(grow.Snapshot(&a), fixed.Snapshot(&b));
+        EXPECT_EQ(a, b);
+      };
+
+      for (int step = 0; step < 20000; ++step) {
+        const uint64_t op = rng.NextBounded(1000);
+        if (op < 880) {
+          const StateKey k = random_key();
+          const int64_t v = int64_t(rng.NextBounded(1000)) - 500;
+          mutate(&grow, k, v);
+          mutate(&fixed, k, v);
+        } else if (op < 970) {
+          expect_same_lookup(random_key());
+          expect_same_lookup({rng.NextBounded(3000), low - 1});  // tombstoned
+        } else if (op < 985) {
+          const int64_t upto = low + int64_t(rng.NextBounded(2));
+          EXPECT_EQ(grow.TombstoneBucketsUpTo(upto),
+                    fixed.TombstoneBucketsUpTo(upto));
+          EXPECT_EQ(grow.live_bucket_floor(), fixed.live_bucket_floor());
+          low = upto + 1;
+        } else if (op < 993) {
+          Partition source(1, cfg);
+          for (int i = 0; i < 50; ++i) {
+            mutate(&source, random_key(), int64_t(rng.NextBounded(1000)));
+          }
+          std::vector<uint8_t> delta;
+          source.Snapshot(&delta);
+          ASSERT_TRUE(grow.MergeDelta(delta.data(), delta.size()).ok());
+          ASSERT_TRUE(fixed.MergeDelta(delta.data(), delta.size()).ok());
+        } else if (op < 999) {
+          expect_same_snapshot();
+        } else {
+          std::vector<uint8_t> a, b;
+          EXPECT_EQ(grow.SerializeDelta(&a), fixed.SerializeDelta(&b));
+          EXPECT_EQ(a, b);
+          grow.Reset();
+          fixed.Reset();
+        }
+        if (grow.index_bucket_count() != last_buckets) {
+          EXPECT_EQ(grow.index_bucket_count(), 2 * last_buckets);
+          last_buckets = grow.index_bucket_count();
+          ++doublings;
+          // Right after a doubling, every group re-linked so far must read
+          // as it does through the fixed index.
+          expect_same_snapshot();
+          for (uint64_t key = 0; key < 3000; key += 7) {
+            expect_same_lookup({key, low + int64_t(key % 4)});
+          }
+        }
+        EXPECT_EQ(grow.entry_count(), fixed.entry_count());
+      }
+      EXPECT_GE(doublings, 3u);
+      EXPECT_EQ(fixed.index_bucket_count(), kFirst);
+    }
+  }
 }
 
 TEST(PartitionTest, AppendAndCollect) {

@@ -50,7 +50,6 @@ struct TransferConfig {
   /// defaults reproduce the unbatched protocol byte-for-byte).
   uint32_t post_batch = 1;        // doorbell batching
   uint32_t inline_threshold = 0;  // inline-send fast path
-  uint32_t send_threshold = 0;    // adaptive SEND vs WRITE transport
 };
 
 struct TransferResult {

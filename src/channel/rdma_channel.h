@@ -159,23 +159,11 @@ struct ChannelConfig {
   /// Inline-send fast path: wire messages whose size is <= this are posted
   /// inline — the payload is copied into the WQE at build time
   /// (kRdmaInlineCopyPerByte per byte) and the NIC skips the payload DMA
-  /// fetch (NicConfig::inline_overhead_discount). For WRITEs the decision
-  /// is made at Flush() on the coalesced wire size; for SEND frames at
-  /// Post() on the frame size. 0 disables. Setting any of the batching
-  /// knobs switches Post() to the decomposed build+doorbell charging even
-  /// at post_batch = 1.
+  /// fetch (NicConfig::inline_overhead_discount). The decision is made at
+  /// Flush() on the coalesced wire size. 0 disables. Setting either
+  /// batching knob switches Post() to the decomposed build+doorbell
+  /// charging even at post_batch = 1.
   uint32_t inline_threshold = 0;
-
-  /// Adaptive transport selection: messages whose compact frame
-  /// (8-byte header + footer + payload) fits in `send_threshold` bytes go
-  /// as two-sided SENDs into a pre-posted receive ring on the consumer;
-  /// larger messages keep the one-sided WRITE into the mirror slot. Small
-  /// messages skip shipping the slot's unused tail; large ones keep the
-  /// zero-copy write path. 0 disables (always WRITE). Requires the
-  /// full-mesh connection mode (a dedicated consumer endpoint with a
-  /// private receive FIFO); a SEND that cannot be posted (e.g. its receive
-  /// buffer was lost with a dropped message) falls back to WRITE.
-  uint32_t send_threshold = 0;
 
   // --- Multi-tenant execution (engines/job.h) ------------------------------
 
@@ -205,11 +193,6 @@ struct SlotFooter {
 };
 
 inline constexpr uint64_t kFooterBytes = sizeof(SlotFooter);
-
-/// Adaptive-transport SEND frames are [message number | footer | payload]:
-/// the 8-byte message number maps an out-of-ring-order arrival back to its
-/// queue slot and doubles as the frame-valid flag (0 = empty ring entry).
-inline constexpr uint64_t kSendHeaderBytes = 8;
 
 /// A writable slot handed to the producer.
 struct SlotRef {
@@ -279,11 +262,10 @@ class RdmaChannel {
 
   /// Rings the doorbell for every queued work request (doorbell batching;
   /// no-op when nothing is queued). Charges one kRdmaDoorbell and posts
-  /// the WRs in order — SEND frames individually (per the transport
-  /// decision recorded at Post() time), WRITEs coalesced: runs of adjacent
-  /// ring slots merge into one spanning WRITE. Producers must call this
-  /// before parking (end of input, waiting on something other than
-  /// credits) so queued messages drain.
+  /// the WRs in order, coalesced: runs of adjacent ring slots merge into
+  /// one spanning WRITE. Producers must call this before parking (end of
+  /// input, waiting on something other than credits) so queued messages
+  /// drain.
   Status Flush(perf::CpuContext* cpu);
 
   /// Work requests built but not yet doorbelled (doorbell batching).
@@ -356,12 +338,12 @@ class RdmaChannel {
   void Abort(const Status& cause) { CloseChannel(cause); }
 
   /// Frees a closed channel's memory when its attempt is torn down for
-  /// good: deregisters the staging, queue, credit and SEND-ring regions,
-  /// discards the receives posted into the ring, and returns the retained
-  /// replay copies to the fabric's buffer pool. Transfers already on the
-  /// wire still land (the fabric frees a region after its last delivery)
-  /// and fire this channel's listeners as before; every producer or
-  /// consumer call is invalid afterwards. Requires broken(); idempotent.
+  /// good: deregisters the staging, queue and credit regions, and returns
+  /// the retained replay copies to the fabric's buffer pool. Transfers
+  /// already on the wire still land (the fabric frees a region after its
+  /// last delivery) and fire this channel's listeners as before; every
+  /// producer or consumer call is invalid afterwards. Requires broken();
+  /// idempotent.
   void ReleaseMemory();
 
   /// Credits currently held by the producer side: acquired slots whose
@@ -412,7 +394,7 @@ class RdmaChannel {
   // the stride stays 4 so wr_ids (and the traces that carry them) keep
   // their values.
   enum WrKind : uint64_t {
-    kWrSlot = 0,    // Post()/Flush(): a WRITE or SEND of one or more slots
+    kWrSlot = 0,    // Post()/Flush(): a WRITE of one or more slots
     kWrCredit = 3,  // Release(): cumulative credit-counter write
   };
   static uint64_t MakeWrId(uint64_t msg, WrKind kind) {
@@ -423,12 +405,6 @@ class RdmaChannel {
   // here, so they consume all completions).
   bool OnProducerCompletion(const rdma::Completion& c);
   bool OnConsumerCompletion(const rdma::Completion& c);
-
-  // Drains SEND-delivered frames from the receive ring into their queue
-  // slots (adaptive transport), re-arming each consumed receive. Called by
-  // TryPoll before the in-order footer poll; frames may arrive in any ring
-  // entry, the embedded message number maps them to their slot.
-  void DrainRecvRing(perf::CpuContext* cpu);
 
   // Re-posts the transfer identified by `wr_id` (scheduled after backoff).
   void RetryPost(uint64_t wr_id);
@@ -458,7 +434,6 @@ class RdmaChannel {
   obs::Counter* batches_counter_ = nullptr;
   obs::Counter* doorbells_counter_ = nullptr;
   obs::Counter* inline_counter_ = nullptr;
-  obs::Counter* transport_send_counter_ = nullptr;
   obs::Counter* transport_write_counter_ = nullptr;
   obs::Counter* coalesced_counter_ = nullptr;
   obs::Tracer* tracer_ = nullptr;
@@ -488,9 +463,6 @@ class RdmaChannel {
   struct PendingWr {
     uint64_t msg = 0;           // 1-based message number
     uint32_t slot = 0;          // staging/queue slot index
-    uint32_t payload_len = 0;
-    bool send_transport = false;  // SEND frame vs slot WRITE
-    bool inline_send = false;     // payload embedded in the WQE
   };
   bool batched_mode_ = false;
   std::vector<PendingWr> pending_;            // capacity reserved at Create
@@ -502,8 +474,6 @@ class RdmaChannel {
   // of the same slot is safe. Sized `credits` at Create; runs never cross
   // the ring wrap.
   std::vector<uint32_t> merged_run_len_;
-  rdma::MemoryRegion* send_staging_ = nullptr;  // producer compact SEND frames
-  rdma::MemoryRegion* recv_ring_ = nullptr;     // consumer receive ring
   // Upstream replay buffer (bounded; see ChannelConfig::replay_buffer_slots).
   std::deque<RetainedMessage> retained_;
   uint64_t retained_bytes_ = 0;

@@ -53,13 +53,11 @@ inline constexpr std::string_view kFabricQpMemoryBytes =
 inline constexpr std::string_view kFabricSrqs = "fabric.srqs";
 inline constexpr std::string_view kChannelRetries = "channel.retries";
 // Verbs-level batching instruments. Registered only by channels that opt
-// into batching (ChannelConfig::post_batch / inline_threshold /
-// send_threshold), so default-config snapshots stay byte-identical.
+// into batching (ChannelConfig::post_batch / inline_threshold), so
+// default-config snapshots stay byte-identical.
 inline constexpr std::string_view kChannelBatches = "channel.batches";
 inline constexpr std::string_view kChannelDoorbells = "channel.doorbells";
 inline constexpr std::string_view kChannelInlineSends = "channel.inline_sends";
-inline constexpr std::string_view kChannelTransportSend =
-    "channel.transport_send";
 inline constexpr std::string_view kChannelTransportWrite =
     "channel.transport_write";
 inline constexpr std::string_view kChannelCoalescedSlots =

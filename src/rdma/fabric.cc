@@ -38,13 +38,11 @@ Fabric::Fabric(sim::Simulator* sim, const FabricConfig& config)
     case ConnectionMode::kFullMesh:
       break;
     case ConnectionMode::kSrq:
-      srqs_.reserve(config.nodes);
       srq_transports_.resize(config.nodes);
       for (int n = 0; n < config.nodes; ++n) {
-        srqs_.push_back(std::make_unique<Srq>(n, conn.srq_depth));
         srq_transports_[n].initiator = MakeEndpoint(n, /*hub=*/true);
         srq_transports_[n].target = MakeEndpoint(n, /*hub=*/true);
-        srq_transports_[n].target->srq_ = srqs_[n].get();
+        srq_transports_[n].target->srq_attached_ = true;
       }
       break;
     case ConnectionMode::kShared:
@@ -121,7 +119,7 @@ Flow* Fabric::OpenFlow(int producer_node, int consumer_node) {
     }
     case ConnectionMode::kSrq: {
       // All outbound posts of a node share its initiator; all inbound
-      // traffic lands on its SRQ-fed target.
+      // traffic lands on its SRQ-attached target.
       fwd_from = srq_transports_[producer_node].initiator;
       fwd_to = srq_transports_[consumer_node].target;
       rev_from = srq_transports_[consumer_node].initiator;
@@ -152,25 +150,20 @@ Flow* Fabric::OpenFlow(int producer_node, int consumer_node) {
   return flow;
 }
 
-Srq* Fabric::srq(int node) const {
-  if (srqs_.empty()) return nullptr;
-  SLASH_CHECK_GE(node, 0);
-  SLASH_CHECK_LT(node, config_.nodes);
-  return srqs_[node].get();
-}
-
 ConnectionStats Fabric::connection_stats() const {
   ConnectionStats stats;
   stats.flows = flows_.size();
   stats.qp_endpoints = endpoints_.size();
-  stats.srqs = srqs_.size();
+  // kSrq: one shared receive queue per node, paid once beside its QPs.
+  stats.srqs = srq_transports_.size();
   std::vector<uint64_t> mem_per_node(config_.nodes, 0);
   for (const auto& ep : endpoints_) {
     mem_per_node[ep->node()] +=
-        config_.connection.QpMemoryBytes(ep->srq() != nullptr);
+        config_.connection.QpMemoryBytes(ep->srq_attached());
   }
-  for (const auto& srq : srqs_) {
-    mem_per_node[srq->node()] += config_.connection.SrqMemoryBytes();
+  for (const SrqTransport& transport : srq_transports_) {
+    mem_per_node[transport.target->node()] +=
+        config_.connection.SrqMemoryBytes();
   }
   for (int n = 0; n < config_.nodes; ++n) {
     stats.qp_memory_bytes += mem_per_node[n];
@@ -228,12 +221,6 @@ Status Flow::PostToProducer(MemorySpan local, RemoteKey rkey,
                                 Tag(wr_id, /*reverse=*/true), signaled);
 }
 
-Status Flow::SendToConsumer(MemorySpan local, uint64_t wr_id, bool signaled,
-                            bool inline_send) {
-  return fwd_from_->PostSendTo(fwd_to_, local, Tag(wr_id, /*reverse=*/false),
-                               signaled, inline_send);
-}
-
 uint64_t Fabric::total_tx_bytes() const {
   uint64_t total = 0;
   for (const auto& nic : nics_) total += nic->tx_bytes();
@@ -276,8 +263,8 @@ void Fabric::FailQp(uint32_t qp_num) {
   QpEndpoint* ep = FindQp(qp_num);
   SLASH_CHECK_MSG(ep != nullptr, "FaultPlan names unknown qp_num " << qp_num);
   TraceFault("fabric.qp_fail", ep->node());
-  ep->EnterErrorState();
-  if (ep->peer() != nullptr) ep->peer()->EnterErrorState();
+  ep->state_ = QpState::kError;
+  if (ep->peer() != nullptr) ep->peer()->state_ = QpState::kError;
 }
 
 void Fabric::RecoverQp(uint32_t qp_num) {
@@ -314,17 +301,8 @@ void Fabric::CrashNode(int node) {
   // unaffected (the per-transfer destination check handles the dead side).
   for (const auto& ep : endpoints_) {
     if (ep->node() != node) continue;
-    ep->EnterErrorState();
-    if (ep->peer() != nullptr) ep->peer()->EnterErrorState();
-  }
-  // SRQ buffers are shared, node-wide state (not flushed by a single QP
-  // erroring), but a crash kills the whole node: drain them with flush
-  // errors like a private receive FIFO.
-  if (Srq* dead_srq = srq(node)) {
-    for (const PostedRecv& recv : dead_srq->Flush()) {
-      srq_transports_[node].target->recv_cq().Push(
-          Completion{recv.wr_id, WorkType::kRecv, 0, WcStatus::kFlushErr});
-    }
+    ep->state_ = QpState::kError;
+    if (ep->peer() != nullptr) ep->peer()->state_ = QpState::kError;
   }
 }
 
@@ -544,94 +522,6 @@ Status Fabric::ExecuteRead(QpEndpoint* from, QpEndpoint* to, MemorySpan local,
     }
     Unhold(remote);
     Unhold(local.region);
-  });
-  return Status::OK();
-}
-
-Status Fabric::ExecuteSend(QpEndpoint* from, QpEndpoint* to, MemorySpan local,
-                           uint64_t wr_id, bool signaled, bool inline_send) {
-  if (from->state_ == QpState::kError || to->state_ == QpState::kError) {
-    FlushWr(from, WorkType::kSend, wr_id, local.length);
-    return Status::OK();
-  }
-  // Receives come from the destination's node-wide SRQ when one is
-  // attached, otherwise from its private posted-receive FIFO. Either way
-  // the oldest buffer wins — arrival order, not sender identity.
-  const bool from_srq = to->srq_ != nullptr;
-  PostedRecv recv;
-  if (from_srq) {
-    if (!to->srq_->PeekFront(&recv)) {
-      return Status::FailedPrecondition("no posted receive buffer in srq");
-    }
-  } else {
-    if (to->recv_queue_.empty()) {
-      // Receiver-not-ready on a reliable connection; a real NIC would
-      // retry, our protocols are required to pre-post. Surface an error.
-      return Status::FailedPrecondition("no posted receive buffer on peer");
-    }
-    recv = to->recv_queue_.front();
-  }
-  if (recv.buffer.length < local.length) {
-    return Status::InvalidArgument("posted receive buffer too small");
-  }
-
-  const Nanos now = sim_->now();
-  const Nanos lat = config_.nic.wire_latency;
-  const uint64_t len = local.length;
-  const Nanos tx_end = nic(from->node())->ReserveTx(now, len, inline_send);
-
-  Nanos extra_delay = 0;
-  if (sim::FaultInjector* inj = injector()) {
-    const auto fault =
-        inj->OnTransfer(from->node(), to->node(), from->qp_num(), len);
-    if (fault.drop) {
-      // The receive buffer stays posted: nothing reached the receiver.
-      ++from->outstanding_;
-      sim_->ScheduleAt(tx_end + inj->plan().drop_report_delay, [=] {
-        --from->outstanding_;
-        from->send_cq().Push(Completion{wr_id, WorkType::kSend, len,
-                                        WcStatus::kRetryExceeded});
-      });
-      return Status::OK();
-    }
-    extra_delay = fault.extra_delay;
-  }
-  if (from_srq) {
-    PostedRecv taken;
-    to->srq_->TakeFront(&taken);
-  } else {
-    to->recv_queue_.pop_front();
-  }
-  const Nanos arrival =
-      nic(to->node())->ReserveRx(tx_end + lat + extra_delay, len);
-
-  ++from->outstanding_;
-  bool* delivered = AcquireFlag();
-  Hold(recv.buffer.region);
-  Hold(local.region);
-  sim_->ScheduleAt(arrival, [=, this] {
-    // Lost mid-flight when either side errored meanwhile.
-    if (from->state_ != QpState::kError && to->state_ != QpState::kError) {
-      *delivered = true;
-      std::memcpy(recv.buffer.data(), local.data(), len);
-      recv.buffer.region->NotifyRemoteWrite(recv.buffer.offset, len);
-      to->recv_cq().Push(Completion{recv.wr_id, WorkType::kRecv, len});
-    }
-    Unhold(recv.buffer.region);
-    Unhold(local.region);
-  });
-  sim_->ScheduleAt(arrival + lat, [=, this] {
-    --from->outstanding_;
-    const bool ok = *delivered;
-    ReleaseFlag(delivered);
-    if (!ok || from->state_ == QpState::kError) {
-      from->send_cq().Push(Completion{wr_id, WorkType::kSend, len,
-                                      WcStatus::kFlushErr});
-      return;
-    }
-    if (signaled) {
-      from->send_cq().Push(Completion{wr_id, WorkType::kSend, len});
-    }
   });
   return Status::OK();
 }

@@ -88,11 +88,6 @@ class Flow {
   Status PostToProducer(MemorySpan local, RemoteKey rkey,
                         uint64_t remote_offset, uint64_t wr_id, bool signaled);
 
-  /// Two-sided send, producer side -> consumer node (consumes a posted
-  /// receive: the consumer endpoint's private FIFO, or its node SRQ).
-  Status SendToConsumer(MemorySpan local, uint64_t wr_id, bool signaled,
-                        bool inline_send = false);
-
   /// Handlers for completions of work this flow posted (producer-direction
   /// posts report to the producer handler, consumer-direction posts to the
   /// consumer handler). Semantics match CompletionQueue::SetInterceptor:
@@ -164,9 +159,6 @@ class Fabric : public sim::FaultTarget {
   /// owned by the fabric.
   Flow* OpenFlow(int producer_node, int consumer_node);
 
-  /// The shared receive queue of `node` (kSrq mode), nullptr otherwise.
-  Srq* srq(int node) const;
-
   /// Connection-layer resource accounting: QP/SRQ counts and modeled QP
   /// memory, cluster-wide and per-node maxima.
   ConnectionStats connection_stats() const;
@@ -235,8 +227,6 @@ class Fabric : public sim::FaultTarget {
                       bool signaled, bool inline_send);
   Status ExecuteRead(QpEndpoint* from, QpEndpoint* to, MemorySpan local,
                      RemoteKey rkey, uint64_t remote_offset, uint64_t wr_id);
-  Status ExecuteSend(QpEndpoint* from, QpEndpoint* to, MemorySpan local,
-                     uint64_t wr_id, bool signaled, bool inline_send);
 
   // Schedules an immediate flush completion for a WR posted while (or
   // delivered after) the QP entered the error state. Error completions are
@@ -308,7 +298,7 @@ class Fabric : public sim::FaultTarget {
   std::vector<bool*> free_flags_;
 
   // Connection-scaling state (rdma/srq.h). kSrq: per-node {initiator,
-  // SRQ-fed target} hub endpoints; kShared: per-node duplex hub pools.
+  // SRQ-attached target} hub endpoints; kShared: per-node duplex hub pools.
   // Built eagerly at construction so QP numbering and accounting do not
   // depend on flow-open order.
   struct SrqTransport {
@@ -316,7 +306,6 @@ class Fabric : public sim::FaultTarget {
     QpEndpoint* target = nullptr;
   };
   std::vector<SrqTransport> srq_transports_;
-  std::vector<std::unique_ptr<Srq>> srqs_;
   std::vector<std::vector<QpEndpoint*>> shared_pools_;
   std::vector<std::unique_ptr<Flow>> flows_;
   std::vector<uint32_t> qp_per_node_;

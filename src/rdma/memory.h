@@ -150,10 +150,9 @@ class ProtectionDomain {
   /// Deregisters `region` (ibv_dereg_mr analogue): its rkey stops resolving
   /// and registered_bytes() drops at once. The memory is freed now if no
   /// fabric delivery is in flight on the region, otherwise right after the
-  /// last one: a WRITE, READ or SEND posted before the call still lands
-  /// and notifies the region's listeners exactly as if it were registered.
-  /// The owner must not post new work on the region, nor keep receives
-  /// posted into it.
+  /// last one: a WRITE or READ posted before the call still lands and
+  /// notifies the region's listeners exactly as if it were registered.
+  /// The owner must not post new work on the region.
   void DeregisterRegion(MemoryRegion* region);
 
   /// Looks up a region by remote key; nullptr if unknown or deregistered.

@@ -190,7 +190,9 @@ void Partition::Append(StateKey k, uint16_t stream_id, const uint8_t* data,
   bool inserted;
   InsertEntry(k, stream_id, kEntryAppend, len,
               [data, len](uint8_t* value_bytes) {
-                std::memcpy(value_bytes, data, len);
+                // An empty payload may come with data == nullptr, which
+                // memcpy must not see even for zero bytes.
+                if (len > 0) std::memcpy(value_bytes, data, len);
               },
               &inserted);
   SLASH_CHECK(inserted);  // appends never dedupe

@@ -11,6 +11,7 @@
 
 #include "channel/rdma_channel.h"
 #include "common/random.h"
+#include "obs/metrics.h"
 #include "perf/cost_model.h"
 #include "rdma/fabric.h"
 #include "sim/simulator.h"
@@ -171,27 +172,43 @@ TEST(RdmaChannelTest, DoorbellBatchingPreservesFifoAndDrainsOnFlush) {
   EXPECT_EQ(h.sim.pending_tasks(), 0);
 }
 
-TEST(RdmaChannelTest, AdaptiveTransportMixedSizesStayFifoAndIntact) {
-  Harness h;
+TEST(RdmaChannelTest, BatchedInlineWritesMixedSizesStayFifoAndIntact) {
+  sim::Simulator sim;
+  obs::MetricsRegistry registry;
+  sim.set_metrics(&registry);
+  rdma::FabricConfig fabric_cfg;
+  fabric_cfg.nodes = 2;
+  rdma::Fabric fabric(&sim, fabric_cfg);
+  perf::CpuContext producer_cpu(&sim, &perf::CostModel::Default());
+  perf::CpuContext consumer_cpu(&sim, &perf::CostModel::Default());
   ChannelConfig cfg;
-  cfg.credits = 4;
+  cfg.credits = 3;  // odd ring: some batches straddle the wrap and split
   cfg.slot_bytes = 4096;
   cfg.post_batch = 2;
-  cfg.inline_threshold = 128;  // SEND frames of the small messages inline
-  cfg.send_threshold = 600;    // 32B payloads -> SEND, 2000B -> slot WRITE
-  auto ch = RdmaChannel::Create(&h.fabric, 0, 1, cfg);
+  cfg.inline_threshold = 4096;  // single-slot WRITEs inline, merged ones not
+  auto ch = RdmaChannel::Create(&fabric, 0, 1, cfg);
   std::vector<uint64_t> tags;
-  // Alternating small/large: SEND frames land in the receive ring in ring
-  // order while WRITEs land directly in their slots; the consumer's
-  // in-order footer poll must interleave both transports seamlessly.
-  h.sim.Spawn(FlushingProducer(ch.get(), 60, &h.producer_cpu, 32, 2000));
-  h.sim.Spawn(MixedSizeConsumer(ch.get(), 60, &h.consumer_cpu, &tags, 32,
-                                2000));
-  h.sim.Run();
+  // Alternating small/large payloads: every WRITE ships whole slots, so
+  // the payload size must not affect coalescing, inlining or FIFO order.
+  sim.Spawn(FlushingProducer(ch.get(), 60, &producer_cpu, 32, 2000));
+  sim.Spawn(MixedSizeConsumer(ch.get(), 60, &consumer_cpu, &tags, 32, 2000));
+  sim.Run();
   ASSERT_EQ(tags.size(), 60u);
   for (int i = 0; i < 60; ++i) EXPECT_EQ(tags[i], uint64_t(i));
   EXPECT_EQ(ch->pending_posts(), 0u);
-  EXPECT_EQ(h.sim.pending_tasks(), 0);
+  EXPECT_EQ(sim.pending_tasks(), 0);
+  // Both halves of the WRITE path ran: inline single slots and coalesced
+  // spans, and together they carried every message.
+  const uint64_t writes =
+      registry.GetCounter(obs::metric::kChannelTransportWrite)->value();
+  const uint64_t inlined =
+      registry.GetCounter(obs::metric::kChannelInlineSends)->value();
+  const uint64_t coalesced =
+      registry.GetCounter(obs::metric::kChannelCoalescedSlots)->value();
+  EXPECT_GT(inlined, 0u);
+  EXPECT_GT(coalesced, 0u);
+  EXPECT_EQ(inlined + coalesced, 60u);
+  EXPECT_LT(writes, 60u);
 }
 
 TEST(RdmaChannelTest, ReleaseMemoryFreesRegionsAfterInFlightTraffic) {
@@ -199,11 +216,9 @@ TEST(RdmaChannelTest, ReleaseMemoryFreesRegionsAfterInFlightTraffic) {
   ChannelConfig cfg;
   cfg.credits = 4;
   cfg.slot_bytes = 4096;
-  cfg.send_threshold = 600;  // 2000B -> slot WRITE, 32B -> SEND frame
   cfg.replay_buffer_slots = 8;
   auto ch = RdmaChannel::Create(&h.fabric, 0, 1, cfg);
-  // Tear the channel down while one message of each transport is on the
-  // wire.
+  // Tear the channel down while two WRITEs are on the wire.
   for (uint64_t len : {2000u, 32u}) {
     SlotRef slot;
     ASSERT_TRUE(ch->TryAcquire(&slot, &h.producer_cpu));
@@ -215,12 +230,11 @@ TEST(RdmaChannelTest, ReleaseMemoryFreesRegionsAfterInFlightTraffic) {
   ch->ReleaseMemory();
   ch->ReleaseMemory();  // idempotent
   EXPECT_TRUE(ch->retained().empty());
-  EXPECT_EQ(ch->flow()->consumer_endpoint()->posted_recvs(), 0u);
   for (int n : {0, 1}) {
     EXPECT_EQ(h.fabric.pd(n)->registered_bytes(), 0u);
-    // The staging and SEND-staging sources (node 0) and the queue and ring
-    // destinations (node 1) are held until their deliveries fire.
-    EXPECT_EQ(h.fabric.pd(n)->allocated_regions(), 2u);
+    // The staging source (node 0) and the queue destination (node 1) are
+    // held until their deliveries fire.
+    EXPECT_EQ(h.fabric.pd(n)->allocated_regions(), 1u);
   }
   h.sim.Run();
   for (int n : {0, 1}) EXPECT_EQ(h.fabric.pd(n)->allocated_regions(), 0u);

@@ -481,6 +481,20 @@ TEST(PartitionTest, IndexGrowthKeepsAppendOrderAndTombstones) {
   EXPECT_EQ(dead.size(), 0u);
 }
 
+// An empty payload is a legal append, and callers may pass no buffer for
+// it; it reads back as an empty value beside the non-empty ones.
+TEST(PartitionTest, EmptyAppendWithNullDataReadsBackEmpty) {
+  Partition p(0, SmallAppendConfig());
+  const uint8_t byte = 42;
+  p.Append({3, 1}, 0, &byte, 1);
+  p.Append({3, 1}, 2, nullptr, 0);
+  AppendSet set;
+  p.CollectAppends({3, 1}, &set);
+  ASSERT_EQ(set.size(), 2u);
+  EXPECT_EQ(set.elements()[0], (AppendElement{2, {}}));
+  EXPECT_EQ(set.elements()[1], (AppendElement{0, {42}}));
+}
+
 // A partition whose index grows from kInitialIndexBuckets must be
 // observably identical to one capped there, which never grows: the index
 // decides where chains live, never what a lookup, collect, scan or
